@@ -22,7 +22,6 @@ from .diagnostics import (
     TmiSpec,
     correlation_curve,
     dynamical_correlation,
-    heisenberg,
     otoc,
     otoc_curve,
     tmi,
@@ -54,17 +53,13 @@ from .hamiltonian import (
     build_hamiltonian,
     chain_propagator,
     diagonalize,
-    evolve,
     ground_state,
-    propagator,
     spectral_model,
 )
 from .pauli import (
     OperatorLabelError,
     PauliString,
     build_dense,
-    is_hermitian,
-    multiply,
     parse_operator_label,
 )
 from .regression import (
@@ -76,12 +71,8 @@ from .regression import (
     train_weights,
 )
 from .states import (
-    expectation,
-    initial_state,
-    inject_input,
     input_state,
     partial_trace,
-    purity,
     von_neumann_entropy,
 )
 from .version import __version__
@@ -118,24 +109,15 @@ __all__ = [
     "default_readouts",
     "diagonalize",
     "dynamical_correlation",
-    "evolve",
-    "expectation",
     "generate_inputs",
     "ground_state",
-    "heisenberg",
-    "initial_state",
-    "inject_input",
     "input_state",
-    "is_hermitian",
-    "multiply",
     "otoc",
     "otoc_curve",
     "parse_config",
     "parse_operator_label",
     "partial_trace",
     "plan_runs",
-    "propagator",
-    "purity",
     "r2_score",
     "replay_manifest",
     "run_drive",

@@ -82,3 +82,7 @@ def validate(config_path) -> None:
         _fail("ConfigError", str(exc), 2)
         return
     click.echo(f"ok: {len(plans)} run(s) planned")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,19 +10,18 @@ is detached from the dynamics, the running state is carried as the pair
 2..N.  Expectations of an operator ``sigma^a_0 (x) O_chain`` reduce to chain
 traces against an a-dependent weighting of ``rho_rest`` (see
 ``_weighted_chain_state``), and the chain trace itself is evaluated in the
-Hamiltonian eigenbasis where the grid propagators are diagonal phases.
+Hamiltonian eigenbasis where evolution to each grid time is a diagonal phase.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import SpectralModel, chain_propagator
 from .pauli import PauliString, as_pauli_string, build_dense
-from .states import input_state
 
 TRACE_DRIFT_TOL = 1e-6
 
@@ -115,29 +114,22 @@ class ReadoutRecord:
 
 @dataclass
 class StateEnsemble:
-    """Mean post-injection test state plus capped per-step snapshots.
+    """Mean test state on the chain plus capped per-step snapshots.
 
-    Snapshots are stored at virtual time zero as ``(s_k, rho_rest)`` pairs;
-    the full-register state at any tau is reconstructed on demand, which keeps
-    memory bounded while losing nothing (the propagator is exact).
+    ``chain_mean`` is the post-injection test state averaged over the testing
+    intervals with qubit 0 traced out; it is all that correlators and OTOCs
+    need.  Snapshots are stored at virtual time zero as ``(s_k, rho_rest)``
+    pairs, from which entropy diagnostics rebuild any reduced state exactly.
     """
 
-    n_qubits: int  # full register, N + 1
-    mean_state: np.ndarray
+    chain_mean: np.ndarray  # (2**N, 2**N)
     sample_inputs: np.ndarray
     sample_rest: np.ndarray  # (n_samples, 2**(N-1), 2**(N-1))
-    n_averaged: int
-    final_state: np.ndarray
     max_imag_residue: float = 0.0
 
     @property
     def n_samples(self) -> int:
         return len(self.sample_inputs)
-
-    def sample_state(self, index: int) -> np.ndarray:
-        """Full-register density matrix of snapshot ``index`` at tau = 0."""
-        psi = input_state(float(self.sample_inputs[index]))
-        return np.kron(np.outer(psi, psi.conj()), self.sample_rest[index])
 
 
 def _trace_out_msb(mat: np.ndarray) -> np.ndarray:
@@ -175,11 +167,11 @@ def _weighted_chain_state(axis0: str, s: float, rest: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_readout(p: PauliString, n_chain: int) -> tuple[str, PauliString]:
+def split_qubit0(p: PauliString, n_chain: int) -> tuple[str, PauliString]:
     """Split a full-register operator into (qubit-0 axis, chain part)."""
     if p.terms and max(p.sites) > n_chain:
         raise ValueError(
-            f"read-out {p.label()!r} uses site {max(p.sites)} outside the "
+            f"operator {p.label()!r} uses site {max(p.sites)} outside the "
             f"register (qubits 0..{n_chain})"
         )
     axis0 = p.axis_at(0) or "i"
@@ -195,8 +187,8 @@ def run_drive(
 ) -> tuple[ReadoutRecord, StateEnsemble]:
     """Run the full drive and record every read-out on the virtual-time grid.
 
-    Washout intervals advance the state with a single cached full-interval
-    propagator and record nothing; training/testing intervals additionally
+    Washout intervals advance the state with one precomputed full-interval
+    unitary and record nothing; training/testing intervals additionally
     evaluate every read-out at each grid point.
     """
     if len(inputs) != config.n_total:
@@ -212,7 +204,7 @@ def run_drive(
     labels = [p.label() for p in parsed]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate read-out operators in {labels}")
-    split = [_split_readout(p, model.n) for p in parsed]
+    split = [split_qubit0(p, model.n) for p in parsed]
 
     n_chain_dim = model.dim
     vecs = model.eigenvectors
@@ -245,15 +237,13 @@ def run_drive(
     g = model.eigenvectors[:, 0]
     rest = _trace_out_msb(np.outer(g, g.conj()))
 
-    mean_state = np.zeros((2 * n_chain_dim, 2 * n_chain_dim), dtype=complex)
+    chain_mean = np.zeros((n_chain_dim, n_chain_dim), dtype=complex)
     n_cap = min(config.tmi_cap, config.n_test)
     sample_inputs = np.zeros(n_cap)
     sample_rest = np.zeros((n_cap, half, half), dtype=complex)
 
-    pre_rest = rest
     for k in range(config.n_total):
         s = float(s_values[k])
-        pre_rest = rest
         sigma = _weighted_chain_state("i", s, rest)
 
         drift = abs(np.trace(sigma).real - 1.0)
@@ -270,9 +260,7 @@ def run_drive(
 
         row = k - config.n_washout
         if row >= config.n_train:
-            mean_state += np.kron(
-                np.outer(input_state(s), input_state(s).conj()), rest
-            )
+            chain_mean += sigma
             spot = row - config.n_train
             if spot < n_cap:
                 sample_inputs[spot] = s
@@ -294,11 +282,7 @@ def run_drive(
         evolved_eig = (phase_in[:, None] * sigma_eig) * phase_in.conj()[None, :]
         rest = _trace_out_msb(vecs @ evolved_eig @ vecs_h)
 
-    mean_state /= config.n_test
-    psi = input_state(float(s_values[-1]))
-    last = np.kron(np.outer(psi, psi.conj()), pre_rest)
-    u_full = np.kron(np.eye(2, dtype=complex), u_in)
-    final_state = u_full @ last @ u_full.conj().T
+    chain_mean /= config.n_test
 
     record = ReadoutRecord(
         operators=labels,
@@ -310,12 +294,9 @@ def run_drive(
         inputs=inputs,
     )
     ensemble = StateEnsemble(
-        n_qubits=model.n + 1,
-        mean_state=mean_state,
+        chain_mean=chain_mean,
         sample_inputs=sample_inputs,
         sample_rest=sample_rest,
-        n_averaged=config.n_test,
-        final_state=final_state,
         max_imag_residue=max_imag,
     )
     return record, ensemble

@@ -299,17 +299,19 @@ def config_to_blocks(config: ExperimentConfig) -> dict:
 
 
 def _write_record_csv(path: Path, record: ReadoutRecord) -> None:
+    """One line per (k, tau), formatted like ``write_csv`` cells (``%.17g``)."""
     header = ["k", "phase", "tau"] + list(record.operators)
+    line = "%d,%s," + ",".join(["%.17g"] * (1 + len(record.operators))) + "\n"
+    taus = record.grid.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        n_rows = record.n_train + record.n_test
-        for row in range(n_rows):
+        for row in range(record.n_train + record.n_test):
             k = record.first_step + row
             phase = "train" if row < record.n_train else "test"
-            for m, tau in enumerate(record.grid):
-                cells = [str(k), phase, _fmt(float(tau))]
-                cells += [_fmt(float(v)) for v in record.values[:, row, m]]
-                fh.write(",".join(cells) + "\n")
+            cells = record.values[:, row, :].T.tolist()
+            fh.writelines(
+                line % (k, phase, tau, *values) for tau, values in zip(taus, cells)
+            )
 
 
 def run_experiment(

@@ -1,15 +1,13 @@
-"""Ising-chain Hamiltonian, exact diagonalization, and cached propagators.
+"""Ising-chain Hamiltonian, exact diagonalization, and chain time evolution.
 
 The chain qubits are labeled 1..N on the full register; the dynamics ignore
 the detached reference qubit 0.  All matrices produced here live on the
-2**N-dimensional chain register (chain qubit i sits at matrix position i-1);
-:func:`propagator` embeds the evolution into the full (N+1)-qubit register by
-tensoring an identity on qubit 0.
+2**N-dimensional chain register (chain qubit i sits at matrix position i-1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,14 +59,13 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
 
 @dataclass
 class SpectralModel:
-    """Eigendecomposition of the chain Hamiltonian plus a propagator cache."""
+    """Eigendecomposition of the chain Hamiltonian."""
 
     params: IsingParams
     hamiltonian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     degenerate_ground: bool = False
-    _propagators: dict[float, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -134,26 +131,3 @@ def chain_propagator(model: SpectralModel, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be >= 0, got {tau}")
     phases = np.exp(-1j * model.eigenvalues * tau)
     return (model.eigenvectors * phases) @ model.eigenvectors.conj().T
-
-
-def propagator(model: SpectralModel, tau: float) -> np.ndarray:
-    """Full-register propagator: identity on qubit 0, exp(-iHtau) on the chain.
-
-    Results are cached per tau; the drive revisits the same grid thousands of
-    times.
-    """
-    key = float(tau)
-    cached = model._propagators.get(key)
-    if cached is None:
-        cached = np.kron(np.eye(2, dtype=complex), chain_propagator(model, key))
-        model._propagators[key] = cached
-    return cached
-
-
-def evolve(rho: np.ndarray, unitary: np.ndarray) -> np.ndarray:
-    """Conjugate a density matrix: U rho U^dag."""
-    rho = np.asarray(rho)
-    unitary = np.asarray(unitary)
-    if rho.shape != unitary.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape}, unitary {unitary.shape}")
-    return unitary @ rho @ unitary.conj().T

@@ -72,10 +72,6 @@ class PauliString:
     def label(self) -> str:
         return "*".join(f"{axis}{site}" for site, axis in self.terms)
 
-    def shift(self, offset: int) -> "PauliString":
-        """Same operator with every site index shifted by ``offset``."""
-        return PauliString(tuple((site + offset, axis) for site, axis in self.terms))
-
     def __str__(self) -> str:  # pragma: no cover - display only
         return self.label() or "<identity>"
 
@@ -123,18 +119,3 @@ def build_dense(p: PauliString, register_size: int) -> np.ndarray:
     if not factors:
         return np.eye(1, dtype=complex)
     return reduce(np.kron, factors)
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equal-dimension square operators."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"left operand is not square: shape {a.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)

@@ -42,7 +42,8 @@ def r2_score(y_pred: np.ndarray, y_target: np.ndarray) -> float:
     """Squared correlation cov^2 / (var * var) with population (1/n) moments.
 
     Returns 0 when either sequence is (numerically) constant: a constant
-    output carries no information about the target.
+    output carries no information about the target.  Rounding that lifts an
+    exactly affine pair above 1 is clamped to 1.
     """
     y_pred = np.asarray(y_pred, dtype=float)
     y_target = np.asarray(y_target, dtype=float)
@@ -59,7 +60,7 @@ def r2_score(y_pred: np.ndarray, y_target: np.ndarray) -> float:
     if var_p < VAR_FLOOR or var_t < VAR_FLOOR:
         return 0.0
     cov = float(np.mean(dp * dt))
-    return cov * cov / (var_p * var_t)
+    return min(cov * cov / (var_p * var_t), 1.0)
 
 
 @dataclass

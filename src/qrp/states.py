@@ -1,4 +1,4 @@
-"""Density-matrix operations on the (N+1)-qubit register.
+"""Density-matrix operations on qubit registers.
 
 The register holds the detached reference qubit 0 (most significant bit)
 followed by the chain qubits 1..N.  Inputs are injected by replacing the
@@ -8,22 +8,16 @@ reduced state of qubits 2..N untouched.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .hamiltonian import SpectralModel, ground_state
-from .pauli import PauliString, build_dense
-
-IMAG_WARN_TOL = 1e-8
 EIG_CUTOFF = 1e-12
-NEG_EIG_CLAMP = -1e-8
 
 
 def n_qubits_of(rho: np.ndarray) -> int:
-    dim = rho.shape[0]
+    """Qubit count of a register matrix, or of a stack of them."""
+    dim = rho.shape[-1]
     n = int(round(np.log2(dim)))
-    if rho.shape != (dim, dim) or 2**n != dim:
+    if rho.ndim < 2 or rho.shape[-2] != dim or 2**n != dim:
         raise ValueError(f"not a qubit-register matrix: shape {rho.shape}")
     return n
 
@@ -38,29 +32,11 @@ def input_state(s: float) -> np.ndarray:
     return psi
 
 
-def initial_state(model: SpectralModel) -> np.ndarray:
-    """|0><0| on qubit 0 tensored with the chain ground-state projector."""
-    g = ground_state(model)
-    anc = np.zeros((2, 2), dtype=complex)
-    anc[0, 0] = 1.0
-    return np.kron(anc, np.outer(g, g.conj()))
-
-
-def inject_input(rho: np.ndarray, s: float) -> np.ndarray:
-    """Replace qubits (0, 1) with the injection state; keep the rest exactly."""
-    n = n_qubits_of(rho)
-    if n < 2:
-        raise ValueError("register must hold at least qubits 0 and 1")
-    psi = input_state(s)
-    proj = np.outer(psi, psi.conj())
-    if n == 2:
-        return proj * np.trace(rho).real
-    rest = partial_trace(rho, tuple(range(2, n)))
-    return np.kron(proj, rest)
-
-
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Reduced density matrix on ``keep`` (strictly increasing qubit indices)."""
+    """Reduced density matrix on ``keep`` (strictly increasing qubit indices).
+
+    Leading axes of ``rho`` are a stack: each matrix is reduced on its own.
+    """
     n = n_qubits_of(rho)
     keep = tuple(keep)
     if not keep:
@@ -69,61 +45,26 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.ndar
         raise ValueError(f"keep must be strictly increasing, got {keep}")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep {keep} outside register of {n} qubits")
-    tensor = rho.reshape((2,) * (2 * n))
+    batch = rho.shape[:-2]
+    tensor = rho.reshape(batch + (2,) * (2 * n))
     ket = list(range(n))
     bra = [n + q if q in keep else q for q in range(n)]
     out = [q for q in keep] + [n + q for q in keep]
-    reduced = np.einsum(tensor, ket + bra, out)
+    reduced = np.einsum(tensor, [Ellipsis] + ket + bra, [Ellipsis] + out)
     d = 2 ** len(keep)
-    return reduced.reshape(d, d)
+    return reduced.reshape(batch + (d, d))
 
 
-def expectation(rho: np.ndarray, op: PauliString | np.ndarray) -> float:
-    """Real part of Tr[rho O]; warns if the imaginary residue is large."""
-    n = n_qubits_of(rho)
-    if isinstance(op, PauliString):
-        if op.terms and max(op.sites) >= n:
-            raise ValueError(
-                f"operator {op.label()!r} outside register of {n} qubits"
-            )
-        op = build_dense(op, n)
-    value = np.einsum("ij,ji->", rho, op)
-    if abs(value.imag) > IMAG_WARN_TOL:
-        warnings.warn(
-            f"expectation has imaginary residue {value.imag:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return float(value.real)
+def spectrum_entropy(eigenvalues: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of each spectrum along the last axis.
+
+    Eigenvalues at or below ``EIG_CUTOFF``, tiny negative round-off included,
+    contribute nothing.
+    """
+    lam = np.where(eigenvalues > EIG_CUTOFF, eigenvalues, 1.0)
+    return -np.sum(lam * np.log2(lam), axis=-1)
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Base-2 von Neumann entropy; tiny negative eigenvalues are clamped."""
-    lam = np.linalg.eigvalsh(rho)
-    lam = np.where(lam < 0, 0.0, lam)
-    lam = lam[lam > EIG_CUTOFF]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log2(lam)))
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", rho, rho).real)
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-9,
-    trace_tol: float = 1e-9,
-    eig_tol: float = NEG_EIG_CLAMP,
-) -> None:
-    """Raise if ``rho`` violates Hermiticity, unit trace, or positivity."""
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise ValueError(f"not Hermitian: residue {herm:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr} differs from 1")
-    lam_min = float(np.linalg.eigvalsh(rho)[0])
-    if lam_min < eig_tol:
-        raise ValueError(f"negative eigenvalue {lam_min:.3e}")
+    return float(spectrum_entropy(np.linalg.eigvalsh(rho)))

@@ -14,7 +14,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import random_density, random_pure
+from helpers import (
+    evolve,
+    expectation,
+    propagator,
+    random_density,
+    random_pure,
+    register_ensemble,
+    sample_state,
+)
 from qrp.config import build_config
 from qrp.diagnostics import (
     OtocSpec,
@@ -25,15 +33,13 @@ from qrp.diagnostics import (
     otoc_curve,
     tmi_curve,
 )
-from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
+from qrp.driver import DriveConfig, generate_inputs, run_drive
 from qrp.experiment import replay_manifest, run_experiment
 from qrp.hamiltonian import (
     CHAOTIC,
     FREE_FERMION,
     PERTURBED,
     IsingParams,
-    evolve,
-    propagator,
     spectral_model,
 )
 from qrp.pauli import PauliString, build_dense
@@ -369,7 +375,7 @@ def test_11_regression_oracle():
 
 
 def test_12_brute_force_equivalence():
-    from qrp.states import expectation, input_state
+    from qrp.states import input_state
 
     rng = np.random.default_rng(103)
     model = spectral_model(IsingParams(n=3, h_x=-0.5, h_z=1.05))
@@ -392,21 +398,14 @@ def test_12_brute_force_equivalence():
     for s, rest in zip(s_vals, rests):
         psi = input_state(float(s))
         mean += np.kron(np.outer(psi, psi.conj()), rest) / n_samp
-    ensemble = StateEnsemble(
-        n_qubits=4,
-        mean_state=mean,
-        sample_inputs=s_vals,
-        sample_rest=rests,
-        n_averaged=n_samp,
-        final_state=mean.copy(),
-    )
+    ensemble = register_ensemble(mean, s_vals, rests)
     z1 = build_dense(PauliString.from_terms({1: "z"}), 4)
     for tau in (0.4, 1.3):
         u = propagator(model, tau)
         z2_tau = u.conj().T @ build_dense(PauliString.from_terms({2: "z"}), 4) @ u
         oracle = np.mean(
             [
-                np.trace(ensemble.sample_state(i) @ z1 @ z2_tau)
+                np.trace(sample_state(ensemble, i) @ z1 @ z2_tau)
                 for i in range(n_samp)
             ]
         )
@@ -418,7 +417,7 @@ def test_12_brute_force_equivalence():
         v = z1
         otoc_oracle = np.mean(
             [
-                np.trace(ensemble.sample_state(i) @ w_tau @ v @ w_tau @ v).real
+                np.trace(sample_state(ensemble, i) @ w_tau @ v @ w_tau @ v).real
                 for i in range(n_samp)
             ]
         )

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -10,13 +14,17 @@ from qrp.config import (
     build_config,
     parse_config,
 )
+from qrp.driver import ReadoutRecord, generate_inputs
 from qrp.experiment import (
     PRESET_NAMES,
+    _write_record_csv,
     plan_runs,
     replay_manifest,
     run_experiment,
     run_preset,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_DRIVE = {"t_in": 1.1, "n_grid": 3, "washout": 4, "train": 6, "test": 6, "tmi_cap": 2}
 
@@ -222,6 +230,40 @@ class TestRunExperiment:
         for csv in sorted(out.glob("*.csv")):
             assert (again / csv.name).read_bytes() == csv.read_bytes(), csv.name
 
+    def test_record_writer_matches_cellwise_format(self, tmp_path):
+        """The row-wise writer gives the bytes of formatting every cell with
+        ``f"{value:.17g}"``, on values where a formatter could differ."""
+        specials = [
+            -0.0,
+            5e-324,
+            2.2250738585072014e-308 / 3,
+            np.nextafter(1.0, 2.0),
+            2.0,
+            -3.0,
+            1e16,
+            0.1,
+        ]
+        values = np.array(specials * 3).reshape(2, 4, 3)
+        record = ReadoutRecord(
+            operators=["z1", "x2*x3"],
+            grid=np.arange(3) * (5.0 / 3),
+            values=values,
+            n_train=2,
+            n_test=2,
+            first_step=7,
+            inputs=generate_inputs(0, 11),
+        )
+        expected = ["k,phase,tau,z1,x2*x3"]
+        for row in range(4):
+            phase = "train" if row < 2 else "test"
+            for m, tau in enumerate(record.grid):
+                cells = [str(7 + row), phase, f"{float(tau):.17g}"]
+                cells += [f"{float(v):.17g}" for v in values[:, row, m]]
+                expected.append(",".join(cells))
+        path = tmp_path / "readouts.csv"
+        _write_record_csv(path, record)
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
     def test_manifest_replay_bit_identical(self, tiny_run, tmp_path):
         out, manifest_path = tiny_run
         replay_dir = tmp_path / "replay"
@@ -302,6 +344,23 @@ class TestCli:
         result = CliRunner().invoke(main, ["validate", "--config", str(conf)])
         assert result.exit_code == 0
         assert "ok" in result.output
+
+    def test_module_entry_point(self, tmp_path):
+        conf = tmp_path / "ok.yaml"
+        conf.write_text("model:\n  n: 3\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "qrp", "validate", "--config", str(conf)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("ok:")
 
     def test_validate_rejects_misplaced_key(self, tmp_path):
         conf = tmp_path / "bad.yaml"

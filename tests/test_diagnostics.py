@@ -1,23 +1,43 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_density
+from helpers import (
+    heisenberg,
+    propagator,
+    random_density,
+    register_ensemble,
+    sample_state,
+)
 from qrp.diagnostics import (
+    CHUNK_BYTES,
     OtocSpec,
     TmiSpec,
     correlation_curve,
     dynamical_correlation,
-    heisenberg,
     otoc,
     otoc_curve,
     tmi,
     tmi_curve,
 )
 from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
-from qrp.hamiltonian import CHAOTIC, IsingParams, propagator, spectral_model
+from qrp.hamiltonian import CHAOTIC, IsingParams, spectral_model
 from qrp.pauli import PauliString, build_dense
 from qrp.states import input_state, partial_trace
+
+
+def make_register_mean(s_vals, rests):
+    """Full-register mean of post-injection snapshots (s_k, rest_k)."""
+    dim = 4 * rests.shape[-1]
+    mean = np.zeros((dim, dim), dtype=complex)
+    for s, rest in zip(s_vals, rests):
+        psi = input_state(float(s))
+        mean += np.kron(np.outer(psi, psi.conj()), rest) / len(s_vals)
+    return mean
 
 
 def make_ensemble(rng, model, n_samples=4):
@@ -25,18 +45,8 @@ def make_ensemble(rng, model, n_samples=4):
     half = model.dim // 2
     s_vals = rng.random(n_samples)
     rests = np.array([random_density(rng, half) for _ in range(n_samples)])
-    mean = np.zeros((2 * model.dim, 2 * model.dim), dtype=complex)
-    for s, rest in zip(s_vals, rests):
-        psi = input_state(float(s))
-        mean += np.kron(np.outer(psi, psi.conj()), rest) / n_samples
-    return StateEnsemble(
-        n_qubits=model.n + 1,
-        mean_state=mean,
-        sample_inputs=s_vals,
-        sample_rest=rests,
-        n_averaged=n_samples,
-        final_state=mean.copy(),
-    )
+    mean = make_register_mean(s_vals, rests)
+    return register_ensemble(mean, s_vals, rests)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +102,7 @@ class TestDynamicalCorrelation:
         z2_tau = heisenberg(PauliString.from_terms({2: "z"}), chaotic3, tau)
         oracle = np.mean(
             [
-                np.trace(ensemble.sample_state(i) @ z1 @ z2_tau)
+                np.trace(sample_state(ensemble, i) @ z1 @ z2_tau)
                 for i in range(ensemble.n_samples)
             ]
         )
@@ -137,7 +147,8 @@ class TestOtoc:
         u = propagator(chaotic3, tau)
         w_tau = u.conj().T @ build_dense(spec.w, 4) @ u
         v = build_dense(spec.v, 4)
-        oracle = np.trace(ensemble.mean_state @ w_tau @ v @ w_tau @ v)
+        mean = make_register_mean(ensemble.sample_inputs, ensemble.sample_rest)
+        oracle = np.trace(mean @ w_tau @ v @ w_tau @ v)
         assert abs(otoc(ensemble, spec, chaotic3, tau) - oracle.real) < 1e-10
 
     def test_chaotic_n7_matches_expm_oracle(self):
@@ -166,13 +177,8 @@ class TestOtoc:
         )
         dim = 2 ** (n + 1)
         mixed = np.eye(dim, dtype=complex) / dim
-        ensemble = StateEnsemble(
-            n_qubits=n + 1,
-            mean_state=mixed,
-            sample_inputs=np.zeros(0),
-            sample_rest=np.zeros((0, dim // 4, dim // 4)),
-            n_averaged=1,
-            final_state=mixed.copy(),
+        ensemble = register_ensemble(
+            mixed, np.zeros(0), np.zeros((0, dim // 4, dim // 4))
         )
         cfg = DriveConfig()
         late = cfg.grid + 2 * cfg.t_in
@@ -227,6 +233,8 @@ class TestTmi:
             TmiSpec(a=(0,), b=(0, 2), c=(3,))
         with pytest.raises(ValueError, match="empty"):
             TmiSpec(a=(), b=(1,), c=(2,))
+        with pytest.raises(ValueError, match="negative"):
+            TmiSpec(a=(-1,), b=(2,), c=(3,))
 
     def test_matches_direct_entropy_sum(self):
         from qrp.states import von_neumann_entropy as s_vn
@@ -255,20 +263,15 @@ class TestTmi:
             u = propagator(chaotic3, float(tau))
             oracle = np.mean(
                 [
-                    tmi(u @ ensemble.sample_state(i) @ u.conj().T, spec)
+                    tmi(u @ sample_state(ensemble, i) @ u.conj().T, spec)
                     for i in range(3)
                 ]
             )
             assert abs(curve[m] - oracle) < 1e-12
 
     def test_curve_requires_snapshots(self, chaotic3):
-        ensemble = StateEnsemble(
-            n_qubits=4,
-            mean_state=np.eye(16) / 16,
-            sample_inputs=np.zeros(0),
-            sample_rest=np.zeros((0, 4, 4)),
-            n_averaged=1,
-            final_state=np.eye(16) / 16,
+        ensemble = register_ensemble(
+            np.eye(16) / 16, np.zeros(0), np.zeros((0, 4, 4))
         )
         with pytest.raises(ValueError, match="snapshot"):
             tmi_curve(ensemble, TmiSpec(a=(0,), b=(2,), c=(3,)), chaotic3, [0.0])
@@ -287,3 +290,193 @@ class TestEndToEndDiagnostics:
         assert abs(values[0] - 1.0) < 1e-9
         curve = tmi_curve(ensemble, TmiSpec(a=(0,), b=(2,), c=(3,)), model, taus)
         assert abs(curve[0]) < 1e-8  # info still local right after injection
+
+
+def _register_hamiltonian(n, h_x, h_z):
+    """Chain Hamiltonian on the full register, qubit 0 untouched, built from
+    Kronecker products of 2x2 Paulis (independent of ``build_hamiltonian``)."""
+    paulis = {
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+
+    def on_sites(ops):
+        out = np.ones((1, 1), dtype=complex)
+        for q in range(n + 1):
+            out = np.kron(out, paulis[ops[q]] if q in ops else np.eye(2))
+        return out
+
+    ham = sum(-on_sites({q: "x", q + 1: "x"}) for q in range(1, n))
+    return ham + sum(
+        h_x * on_sites({q: "x"}) + h_z * on_sites({q: "z"}) for q in range(1, n + 1)
+    )
+
+
+def _expm_drive(n, h_x, h_z, cfg, inputs):
+    """Full-register drive with ``expm`` propagators: the mean testing state
+    and the first ``tmi_cap`` testing snapshots, all at virtual time zero."""
+    ham = _register_hamiltonian(n, h_x, h_z)
+    chain = ham[: 2**n, : 2**n]
+    ground = scipy.linalg.eigh(chain)[1][:, 0]
+    up = np.zeros((2, 2), dtype=complex)
+    up[0, 0] = 1.0
+    rho = np.kron(up, np.outer(ground, ground.conj()))
+    u_in = scipy.linalg.expm(-1j * cfg.t_in * ham)
+    mean = np.zeros_like(rho)
+    snapshots = []
+    for k, s in enumerate(inputs.values):
+        psi = input_state(float(s))
+        rest = partial_trace(rho, tuple(range(2, n + 1)))
+        rho = np.kron(np.outer(psi, psi.conj()), rest)
+        if k >= cfg.n_washout + cfg.n_train:
+            mean += rho / cfg.n_test
+            if len(snapshots) < cfg.tmi_cap:
+                snapshots.append(rho)
+        rho = u_in @ rho @ u_in.conj().T
+    return ham, mean, snapshots
+
+
+def _oracle_tmi(rho, spec):
+    def s_vn(qubits):
+        lam = np.linalg.eigvalsh(partial_trace(rho, tuple(sorted(qubits))))
+        lam = lam[lam > 1e-12]
+        return float(-np.sum(lam * np.log2(lam)))
+
+    a, b, c = spec.a, spec.b, spec.c
+    return (
+        s_vn(a) + s_vn(b) + s_vn(c)
+        - s_vn(a + b) - s_vn(a + c) - s_vn(b + c)
+        + s_vn(a + b + c)
+    )
+
+
+_PAULI_STRINGS = st.dictionaries(
+    st.integers(0, 4), st.sampled_from("xyz"), min_size=1, max_size=3
+)
+
+
+class TestChainLevelAgainstExpm:
+    """Every diagnostic against a full-register ``expm`` evolution of a short
+    drive, for random chains, fields, intervals and operators."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        h_x=st.floats(-1.0, 1.0),
+        h_z=st.floats(0.3, 1.5),
+        t_in=st.floats(0.3, 3.0),
+        lengths=st.tuples(st.integers(0, 3), st.integers(2, 3), st.integers(2, 4)),
+        seed=st.integers(0, 2**16),
+        otoc_terms=st.lists(st.tuples(_PAULI_STRINGS, _PAULI_STRINGS), max_size=2),
+        order=st.permutations(range(5)),
+        sizes=st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+    )
+    def test_matches_expm_oracle(
+        self, n, h_x, h_z, t_in, lengths, seed, otoc_terms, order, sizes
+    ):
+        washout, train, test = lengths
+        cfg = DriveConfig(
+            t_in=t_in, n_grid=3, n_washout=washout, n_train=train, n_test=test,
+            seed=seed, tmi_cap=test,
+        )
+        model = spectral_model(IsingParams(n=n, h_x=h_x, h_z=h_z))
+        inputs = generate_inputs(seed, cfg.n_total)
+        _, ensemble = run_drive(cfg, model, ["z1"], inputs)
+        ham, mean, snapshots = _expm_drive(n, h_x, h_z, cfg, inputs)
+        taus = np.append(cfg.grid, 2.7 * t_in)
+        units = [scipy.linalg.expm(-1j * float(tau) * ham) for tau in taus]
+
+        def dense(terms):
+            return build_dense(PauliString.from_terms(terms), n + 1)
+
+        z1 = dense({1: "z"})
+        for q in range(1, n + 1):
+            zq = dense({q: "z"})
+            want = [np.trace(mean @ z1 @ u.conj().T @ zq @ u) for u in units]
+            got = correlation_curve(ensemble, q, model, taus)
+            assert np.max(np.abs(got - want)) < 1e-10
+
+        # qubit-0 factors that anticommute, commute, or are absent
+        pairs = [({0: "x", 2: "z"}, {0: "y", 1: "z"}), ({0: "z"}, {0: "z", n: "x"})]
+        pairs += [
+            ({q % (n + 1): a for q, a in w.items()}, {q % (n + 1): a for q, a in v.items()})
+            for w, v in otoc_terms
+        ]
+        for w_terms, v_terms in pairs:
+            w, v = dense(w_terms), dense(v_terms)
+            want = []
+            for u in units:
+                w_tau = u.conj().T @ w @ u
+                want.append(np.trace(mean @ w_tau @ v @ w_tau @ v))
+            want = np.array(want)
+            spec = OtocSpec(PauliString.from_terms(w_terms), PauliString.from_terms(v_terms))
+            got, residue = otoc_curve(ensemble, spec, model, taus)
+            assert np.max(np.abs(got - want.real)) < 1e-10
+            assert abs(residue - np.max(np.abs(want.imag))) < 1e-10
+
+        qubits = [q for q in order if q <= n]
+        specs = [TmiSpec(a=(0,), b=(1,), c=tuple(range(2, n + 1)))]
+        if len(qubits) >= 3:
+            cut_a = min(sizes[0], len(qubits) - 2)
+            cut_b = cut_a + min(sizes[1], len(qubits) - cut_a - 1)
+            cut_c = cut_b + min(sizes[2], len(qubits) - cut_b)
+            specs.append(
+                TmiSpec(
+                    a=tuple(qubits[:cut_a]),
+                    b=tuple(qubits[cut_a:cut_b]),
+                    c=tuple(qubits[cut_b:cut_c]),
+                )
+            )
+        if n >= 3:
+            specs.append(TmiSpec(a=(1,), b=(2,), c=tuple(range(3, n + 1))))
+        for spec in specs:
+            want = [
+                np.mean([_oracle_tmi(u @ rho @ u.conj().T, spec) for rho in snapshots])
+                for u in units
+            ]
+            got = tmi_curve(ensemble, spec, model, taus)
+            assert np.max(np.abs(got - want)) < 1e-10
+
+
+class TestMemoryBound:
+    """Peak traced memory of one 50-point curve at N = 9.
+
+    The bound is one chunk of grid times plus eight 2^9 x 2^9 complex chain
+    matrices (32 MiB), i.e. five times the 8 MiB chunk budget.  A cache of 50
+    full-register propagators, as the register-level diagnostics kept, would
+    hold 800 MiB at this size.
+    """
+
+    BOUND = 5 * CHUNK_BYTES
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        rng = np.random.default_rng(45)
+        model = spectral_model(IsingParams(n=9, h_x=-0.5, h_z=1.05))
+        ensemble = StateEnsemble(
+            chain_mean=random_density(rng, model.dim),
+            sample_inputs=np.array([0.3]),
+            sample_rest=random_density(rng, model.dim // 2)[None],
+        )
+        return model, ensemble, DriveConfig().grid
+
+    @staticmethod
+    def _peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_otoc_curve(self, large):
+        model, ensemble, grid = large
+        spec = OtocSpec.of("x0*z3", "z1")
+        peak = self._peak_bytes(otoc_curve, ensemble, spec, model, grid)
+        assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
+
+    def test_tmi_curve(self, large):
+        model, ensemble, grid = large
+        spec = TmiSpec(a=(0,), b=(2,), c=(3, 4))
+        peak = self._peak_bytes(tmi_curve, ensemble, spec, model, grid)
+        assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"

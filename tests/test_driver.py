@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from helpers import initial_state, inject_input, propagator, trace_out_qubit0
 from qrp.driver import (
     DriveConfig,
     DriveError,
     generate_inputs,
     run_drive,
 )
-from qrp.hamiltonian import IsingParams, propagator, spectral_model
+from qrp.hamiltonian import IsingParams, spectral_model
 from qrp.pauli import build_dense, parse_operator_label
-from qrp.states import initial_state, inject_input
+from qrp.states import partial_trace
 
 
 def small_config(**kwargs):
@@ -21,7 +22,12 @@ def small_config(**kwargs):
 
 
 def reference_drive(config, model, labels, inputs):
-    """Naive full-register loop used as the correctness oracle."""
+    """Naive full-register loop used as the correctness oracle.
+
+    Returns the read-outs on the grid, their values at tau = t_in, the mean
+    post-injection test state, and the reduced states on qubits 2..N of the
+    first ``tmi_cap`` testing intervals.
+    """
     n_full = model.n + 1
     dense = {lab: build_dense(parse_operator_label(lab), n_full) for lab in labels}
     rho = initial_state(model)
@@ -29,6 +35,7 @@ def reference_drive(config, model, labels, inputs):
     values = {lab: np.zeros((n_rows, config.n_grid)) for lab in labels}
     boundary = {lab: np.zeros(n_rows) for lab in labels}  # value at tau = t_in
     mean = np.zeros_like(rho)
+    rests = []
     u_in = propagator(model, config.t_in)
     for k in range(config.n_total):
         rho = inject_input(rho, float(inputs.values[k]))
@@ -36,6 +43,8 @@ def reference_drive(config, model, labels, inputs):
         if row >= 0:
             if row >= config.n_train:
                 mean += rho / config.n_test
+                if len(rests) < config.tmi_cap:
+                    rests.append(partial_trace(rho, tuple(range(2, n_full))))
             for m, tau in enumerate(config.grid):
                 u = propagator(model, float(tau))
                 moved = u @ rho @ u.conj().T
@@ -45,7 +54,7 @@ def reference_drive(config, model, labels, inputs):
         if row >= 0:
             for lab in labels:
                 boundary[lab][row] = np.trace(rho @ dense[lab]).real
-    return values, boundary, mean, rho
+    return values, boundary, mean, np.array(rests)
 
 
 class TestGenerateInputs:
@@ -99,12 +108,13 @@ class TestRunDrive:
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         labels = ["z1", "z0", "x0*x1", "y0*y2", "z2", "x2*x3", "z1*z3", "x3"]
         record, ensemble = run_drive(cfg, model, labels, inputs)
-        values, boundary, mean, final = reference_drive(cfg, model, labels, inputs)
+        values, boundary, mean, rests = reference_drive(cfg, model, labels, inputs)
         for lab in labels:
             got = record.values[record.index_of(lab)]
             assert np.max(np.abs(got - values[lab])) < 1e-10
-        assert np.max(np.abs(ensemble.mean_state - mean)) < 1e-10
-        assert np.max(np.abs(ensemble.final_state - final)) < 1e-10
+        assert np.max(np.abs(ensemble.chain_mean - trace_out_qubit0(mean))) < 1e-10
+        assert ensemble.sample_rest.shape == rests.shape
+        assert np.max(np.abs(ensemble.sample_rest - rests)) < 1e-10
 
     def test_continuity_across_injection_for_distant_operators(self):
         # operators on qubits >= 2 see no jump when a new input lands
@@ -172,7 +182,7 @@ class TestRunDrive:
         cfg = small_config(n_washout=10, n_train=10, n_test=10)
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         _, ensemble = run_drive(cfg, model, ["z1"], inputs)
-        rho = ensemble.mean_state
+        rho = ensemble.chain_mean
         assert abs(np.trace(rho) - 1.0) < 1e-9
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
         assert np.linalg.eigvalsh(rho)[0] > -1e-8

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_density, random_hermitian
+from helpers import evolve, propagator, random_density, random_hermitian
 from qrp.hamiltonian import (
     CHAOTIC,
     IsingParams,
     build_hamiltonian,
     chain_propagator,
     diagonalize,
-    evolve,
     ground_state,
-    propagator,
     spectral_model,
 )
 from qrp.pauli import PauliString, build_dense
@@ -143,10 +141,6 @@ class TestPropagator:
             half = 8
             np.testing.assert_allclose(u[:half, :half], u[half:, half:], atol=1e-12)
             assert np.max(np.abs(u[:half, half:])) < 1e-12
-
-    def test_cache_reuse(self):
-        model = spectral_model(params_for(2, CHAOTIC))
-        assert propagator(model, 1.1) is propagator(model, 1.1)
 
     def test_negative_time_rejected(self):
         model = spectral_model(params_for(1, (0.0, 1.0)))

@@ -88,6 +88,13 @@ class TestR2Score:
             p, t = rng.normal(size=(2, 30))
             assert 0.0 <= r2_score(p, t) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_exact_affine_never_exceeds_one(self, seed):
+        # z1 = 2 s - 1 at tau = 0: rounding used to give 1 + 2**-52 (seeds 8,
+        # 13, 21, 37)
+        s = np.random.default_rng(seed).random(150)
+        assert 1.0 - 1e-12 <= r2_score(2 * s - 1, s) <= 1.0
+
 
 @pytest.fixture(scope="module")
 def drive():

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import random_density, random_pure
-from qrp.hamiltonian import IsingParams, spectral_model
-from qrp.pauli import PauliString
-from qrp.states import (
+from helpers import (
     expectation,
     initial_state,
     inject_input,
-    input_state,
-    partial_trace,
     purity,
-    von_neumann_entropy,
+    random_density,
+    random_pure,
 )
+from qrp.hamiltonian import IsingParams, spectral_model
+from qrp.pauli import PauliString
+from qrp.states import input_state, partial_trace, von_neumann_entropy
 
 
 def bell_pair():
