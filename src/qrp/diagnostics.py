@@ -24,7 +24,7 @@ import numpy as np
 from .driver import StateEnsemble, split_qubit0
 from .hamiltonian import SpectralModel
 from .pauli import PauliString, as_pauli_string, build_dense
-from .states import partial_trace, spectrum_entropy
+from .states import partial_trace, spectrum_entropy, unpack_hermitian
 
 CHUNK_BYTES = 8 * 2**20
 _COMPLEX_BYTES = 16
@@ -128,9 +128,12 @@ def otoc_curve(
     spec: OtocSpec,
     model: SpectralModel,
     taus: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Real part of Tr[rho_mean W(tau) V W(tau) V] over a grid, plus the
-    largest imaginary residue.
+) -> np.ndarray:
+    """Tr[rho_mean W(tau) V W(tau) V] over a grid, as complex numbers.
+
+    The OTOC is real only where W(tau) V W(tau) V is Hermitian, so its
+    imaginary part is part of the result, not round-off (W = V = x1 is such
+    a pair).  Plots read the real part.
 
     Write W = w_0 (x) W_c and V = v_0 (x) V_c.  Qubit 0 is outside the
     dynamics, so WVWV = (w_0 v_0 w_0 v_0) (x) (W_c V_c W_c V_c), where the
@@ -155,16 +158,14 @@ def otoc_curve(
         w_tau *= phases.conj()[:, None, :]
         wv = w_tau @ v_eig
         values[chunk] = sign * np.einsum("tij,tji->t", state @ wv, wv)
-    residue = float(np.max(np.abs(values.imag))) if len(values) else 0.0
-    return values.real, residue
+    return values
 
 
 def otoc(
     ensemble: StateEnsemble, spec: OtocSpec, model: SpectralModel, tau: float
 ) -> float:
-    """``otoc_curve`` at a single time."""
-    values, _ = otoc_curve(ensemble, spec, model, np.array([tau]))
-    return float(values[0])
+    """Real part of ``otoc_curve`` at a single time."""
+    return float(otoc_curve(ensemble, spec, model, np.array([tau]))[0].real)
 
 
 # S_A + S_B + S_C - S_AB - S_AC - S_BC + S_ABC
@@ -241,16 +242,24 @@ def tmi_curve(
         scaled = (vecs_rows[None, :, :] * phases[:, None, :]).reshape(count * dim, dim)
         blocks = [scaled @ vecs_h[:, :half], scaled @ vecs_h[:, half:]]
         del scaled
-        blocks_h = [
-            blk.reshape(count, kept_dim, -1).conj().transpose(0, 2, 1) for blk in blocks
-        ]
-        for s, rest in zip(ensemble.sample_inputs, ensemble.sample_rest):
-            moved = [(blk @ rest).reshape(count, kept_dim, -1) for blk in blocks]
-            j00 = s * (moved[0] @ blocks_h[0])
-            j11 = (1.0 - s) * (moved[1] @ blocks_h[1])
+        shaped = [blk.reshape(count, kept_dim, -1) for blk in blocks]
+        for s, packed in zip(ensemble.sample_inputs, ensemble.sample_packed):
+            rest = unpack_hermitian(packed)
+            # L_b rest L_a^dag = L_b conj(L_a rest)^T for Hermitian rest, so
+            # each half needs one conjugated product and no conjugate copy
+            # of the blocks; the halves are taken one at a time.
+            moved = blocks[0] @ rest
+            np.conjugate(moved, out=moved)
+            moved_t = moved.reshape(count, kept_dim, -1).transpose(0, 2, 1)
+            j00 = s * (shaped[0] @ moved_t)
             if with_ref:
-                j01 = np.sqrt(s * (1.0 - s)) * (moved[0] @ blocks_h[1])
-                joint = np.block([[j00, j01], [j01.conj().transpose(0, 2, 1), j11]])
+                j10 = np.sqrt(s * (1.0 - s)) * (shaped[1] @ moved_t)
+            moved = blocks[1] @ rest
+            np.conjugate(moved, out=moved)
+            moved_t = moved.reshape(count, kept_dim, -1).transpose(0, 2, 1)
+            j11 = (1.0 - s) * (shaped[1] @ moved_t)
+            if with_ref:
+                joint = np.block([[j00, j10.conj().transpose(0, 2, 1)], [j10, j11]])
             else:
                 joint = j00 + j11
             totals[chunk] += _tmi_of_joint(joint, spec)

@@ -7,10 +7,19 @@ evolves freely; read-out expectations are sampled on a virtual-time grid
 The loop never materializes the full (N+1)-qubit register.  Because qubit 0
 is detached from the dynamics, the running state is carried as the pair
 ``(s_k, rho_rest)``: the last injected value plus the reduced state of qubits
-2..N.  Expectations of an operator ``sigma^a_0 (x) O_chain`` reduce to chain
-traces against an a-dependent weighting of ``rho_rest`` (see
-``_weighted_chain_state``), and the chain trace itself is evaluated in the
-Hamiltonian eigenbasis where evolution to each grid time is a diagonal phase.
+2..N, of dimension h = 2**(N-1).  With K_jl = <j| exp(-i H t_in) |l>_1 the
+four h x h blocks of the interval propagator on qubit 1, one interval is
+
+    rest' = s (K00 rest K00^dag + K10 rest K10^dag)
+            + (1 - s) (K01 rest K01^dag + K11 rest K11^dag).
+
+Every read-out at every grid time is a fixed linear functional of
+``rest``, so the loop only stores each recorded ``rest``, packed as h**2
+real numbers (``states.pack_hermitian``), in chunks of at most
+``CHUNK_BYTES``.  ``_Readout`` evaluates a chunk in whichever of two orders
+needs fewer multiply-adds: against packed Heisenberg blocks of the
+operators, one real GEMM per grid time, or interval by interval in the
+Hamiltonian eigenbasis, where evolution to a grid time is a diagonal phase.
 """
 
 from __future__ import annotations
@@ -21,9 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import SpectralModel, chain_propagator
-from .pauli import PauliString, as_pauli_string, build_dense
+from .pauli import PauliString, as_pauli_string, signed_permutation
+from .states import pack_hermitian, unpack_hermitian
 
+# Stored rests per read-out chunk, in bytes.  A chunk rebuilds the Heisenberg
+# blocks, so at this size the recorded intervals of a short drive at N = 8
+# (200 intervals, 25 MiB) fit one chunk.
+CHUNK_BYTES = 32 * 2**20
 TRACE_DRIFT_TOL = 1e-6
+HERMITICITY_TOL = 1e-6
 
 
 class DriveError(RuntimeError):
@@ -119,52 +134,26 @@ class StateEnsemble:
     ``chain_mean`` is the post-injection test state averaged over the testing
     intervals with qubit 0 traced out; it is all that correlators and OTOCs
     need.  Snapshots are stored at virtual time zero as ``(s_k, rho_rest)``
-    pairs, from which entropy diagnostics rebuild any reduced state exactly.
+    pairs, from which entropy diagnostics rebuild any reduced state exactly;
+    ``rho_rest`` is kept packed by ``states.pack_hermitian``.  The health
+    figures are the running state's largest trace drift and Hermiticity
+    residue over the whole drive.
     """
 
     chain_mean: np.ndarray  # (2**N, 2**N)
     sample_inputs: np.ndarray
-    sample_rest: np.ndarray  # (n_samples, 2**(N-1), 2**(N-1))
-    max_imag_residue: float = 0.0
+    sample_packed: np.ndarray  # (n_samples, 4**(N-1)), real
+    max_trace_drift: float = 0.0
+    max_hermiticity_residue: float = 0.0
 
     @property
     def n_samples(self) -> int:
         return len(self.sample_inputs)
 
-
-def _trace_out_msb(mat: np.ndarray) -> np.ndarray:
-    """Partial trace over the most significant qubit of a register matrix."""
-    half = mat.shape[0] // 2
-    return mat[:half, :half] + mat[half:, half:]
-
-
-def _weighted_chain_state(axis0: str, s: float, rest: np.ndarray) -> np.ndarray:
-    """Chain matrix whose trace against O_chain(tau) gives the full
-    expectation of sigma^axis0_0 (x) O_chain.
-
-    The post-injection register state is |psi_in(s)><psi_in(s)| (x) rest with
-    |psi_in> = sqrt(s)|00> + sqrt(1-s)|11>, and qubit 0 never evolves, so
-    contracting it out analytically leaves these four chain-level weightings.
-    """
-    h = rest.shape[0]
-    out = np.zeros((2 * h, 2 * h), dtype=complex)
-    if axis0 == "i":
-        out[:h, :h] = s * rest
-        out[h:, h:] = (1.0 - s) * rest
-    elif axis0 == "z":
-        out[:h, :h] = s * rest
-        out[h:, h:] = -(1.0 - s) * rest
-    elif axis0 == "x":
-        c = np.sqrt(s * (1.0 - s))
-        out[:h, h:] = c * rest
-        out[h:, :h] = c * rest
-    elif axis0 == "y":
-        c = 1j * np.sqrt(s * (1.0 - s))
-        out[:h, h:] = c * rest
-        out[h:, :h] = -c * rest
-    else:  # pragma: no cover - guarded by the parser
-        raise ValueError(f"unknown qubit-0 axis {axis0!r}")
-    return out
+    @property
+    def sample_rest(self) -> np.ndarray:
+        """The snapshots' ``rho_rest``, (n_samples, 2**(N-1), 2**(N-1))."""
+        return unpack_hermitian(self.sample_packed)
 
 
 def split_qubit0(p: PauliString, n_chain: int) -> tuple[str, PauliString]:
@@ -179,6 +168,149 @@ def split_qubit0(p: PauliString, n_chain: int) -> tuple[str, PauliString]:
     return axis0, chain
 
 
+def _heisenberg_is_cheaper(rows: int, dim: int, axes: list[str], n_grid: int) -> bool:
+    """Whether the Heisenberg order reads ``rows`` stored rests out with
+    fewer real multiply-adds than the eigenbasis order.
+
+    Heisenberg: U(tau) per grid time (dim**3 complex), an h x dim x h product
+    per block and grid time, then h**2 real per block, grid time and row.
+    Eigenbasis: per row, the weighted states in the eigenbasis (dim**3 / 4
+    plus dim**3 for axes i/z and dim**3 / 2 for x/y), then dim**2 complex
+    per operator and grid time.
+    """
+    n_blocks = sum(2 if axis in "iz" else 1 for axis in axes)
+    heisenberg = 4 * n_grid * dim**3 * (1 + n_blocks / 4)
+    heisenberg += rows * n_grid * n_blocks * dim**2 / 4
+    state = dim**3 / 4
+    state += dim**3 if {"i", "z"} & set(axes) else 0
+    state += dim**3 / 2 if {"x", "y"} & set(axes) else 0
+    eigenbasis = 4 * rows * (state + len(axes) * n_grid * dim**2)
+    return heisenberg < eigenbasis
+
+
+class _Readout:
+    """Every read-out on the grid for chunks of stored ``(s, rest)`` pairs.
+
+    A read-out sigma^a_0 (x) O with O on the chain has, in the post-injection
+    state, the expectation Tr[W_a(s, rest) O(tau)], where qubit 0 has been
+    contracted out analytically.  With X the blocks of O(tau) on qubit 1:
+
+        a = i:  s Tr[rest X00] + (1 - s) Tr[rest X11]
+        a = z:  s Tr[rest X00] - (1 - s) Tr[rest X11]
+        a = x:  c Tr[rest (X01 + X01^dag)]
+        a = y:  c Tr[rest i (X01^dag - X01)],     c = sqrt(s (1 - s)).
+    """
+
+    def __init__(self, model: SpectralModel, split: list[tuple[str, PauliString]], grid):
+        self.model = model
+        self.grid = grid
+        self.axes = [axis0 for axis0, _ in split]
+        self.gathers = [signed_permutation(chain, model.n) for _, chain in split]
+        self.ops_eig_t: list[np.ndarray] | None = None
+        # Column j of the per-row weights goes with block j; ``starts`` marks
+        # the first block of each operator.
+        self.kinds = []
+        for axis0 in self.axes:
+            self.kinds += [axis0 + "0", axis0 + "1"] if axis0 in "iz" else [axis0]
+        self.starts = np.cumsum([0] + [2 if a in "iz" else 1 for a in self.axes])[:-1]
+
+    def __call__(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Values (n_operators, rows, n_grid) for packed rests and inputs."""
+        if _heisenberg_is_cheaper(len(s), self.model.dim, self.axes, len(self.grid)):
+            return self._heisenberg(packed, s)
+        return self._eigenbasis(packed, s)
+
+    def _block_weights(self, s: np.ndarray) -> np.ndarray:
+        c = np.sqrt(s * (1.0 - s))
+        columns = {"i0": s, "i1": 1.0 - s, "z0": s, "z1": s - 1.0, "x": c, "y": c}
+        return np.stack([columns[kind] for kind in self.kinds], axis=1)
+
+    def _heisenberg(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
+        model = self.model
+        h = model.dim // 2
+        vecs = model.eigenvectors
+        vecs_h = vecs.conj().T
+        weights = self._block_weights(s)
+        out = np.empty((len(self.axes), len(s), len(self.grid)))
+        blocks = np.empty((len(self.kinds), h, h), dtype=complex)
+        for m, tau in enumerate(self.grid):
+            u = (vecs * np.exp(-1j * model.eigenvalues * tau)) @ vecs_h
+            u0_h, u1_h = u[:, :h].conj().T, u[:, h:].conj().T
+            j = 0
+            for axis0, (perm, sign) in zip(self.axes, self.gathers):
+                moved = u[perm]
+                moved *= sign[:, None]  # O U(tau)
+                if axis0 in "iz":
+                    np.matmul(u0_h, moved[:, :h], out=blocks[j])
+                    np.matmul(u1_h, moved[:, h:], out=blocks[j + 1])
+                    j += 2
+                    continue
+                x01 = u0_h @ moved[:, h:]
+                if axis0 == "x":
+                    blocks[j] = x01 + x01.conj().T
+                else:
+                    blocks[j] = 1j * (x01.conj().T - x01)
+                j += 1
+            heis = pack_hermitian(blocks)
+            heis[:, h:] *= 2.0
+            out[:, :, m] = np.add.reduceat((packed @ heis.T) * weights, self.starts, axis=1).T
+        return out
+
+    def _eigenbasis(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
+        model = self.model
+        h = model.dim // 2
+        vecs = model.eigenvectors
+        v0, v1 = vecs[:h], vecs[h:]
+        v0_h, v1_h = v0.conj().T, v1.conj().T
+        if self.ops_eig_t is None:
+            # Transposed so an elementwise product implements Tr[state * op].
+            self.ops_eig_t = [
+                (vecs.conj().T @ (sign[:, None] * vecs[perm])).T
+                for perm, sign in self.gathers
+            ]
+        phases = np.exp(-1j * np.outer(self.grid, model.eigenvalues))  # (n_grid, dim)
+        phases_ct = phases.conj().T
+        axes = set(self.axes)
+        out = np.empty((len(self.axes), len(s), len(self.grid)))
+        for row, (s_k, packed_row) in enumerate(zip(s, packed)):
+            rest = unpack_hermitian(packed_row)
+            moved0, moved1 = rest @ v0, rest @ v1
+            weighted = {}
+            if axes & {"i", "z"}:
+                p00, p11 = s_k * (v0_h @ moved0), (1.0 - s_k) * (v1_h @ moved1)
+                weighted.update(i=p00 + p11, z=p00 - p11)
+            if axes & {"x", "y"}:
+                p01 = np.sqrt(s_k * (1.0 - s_k)) * (v0_h @ moved1)
+                weighted.update(x=p01 + p01.conj().T, y=1j * (p01 - p01.conj().T))
+            for o, (axis0, op_t) in enumerate(zip(self.axes, self.ops_eig_t)):
+                # value[m] = sum_ab W[a,b] op[b,a] e^{-i(E_a - E_b) tau_m}
+                tmp = (weighted[axis0] * op_t) @ phases_ct  # (dim, n_grid)
+                out[o, row] = np.einsum("ma,am->m", phases, tmp).real
+        return out
+
+
+def _state_health(rest: np.ndarray, k: int, config: DriveConfig) -> tuple[float, float]:
+    """Trace drift and Hermiticity residue of the running state at interval
+    ``k``; raises ``DriveError`` naming the interval, its phase and the
+    quantity when either exceeds its tolerance or is not finite."""
+    drift = abs(float(np.trace(rest).real) - 1.0)
+    herm = float(np.max(np.abs(rest - rest.conj().T)))
+    for name, value, tol in (
+        ("trace drift", drift, TRACE_DRIFT_TOL),
+        ("Hermiticity residue", herm, HERMITICITY_TOL),
+    ):
+        if not value <= tol:
+            if k < config.n_washout:
+                phase = "washout"
+            else:
+                phase = "train" if k < config.n_washout + config.n_train else "test"
+            raise DriveError(
+                f"running state broke at interval {k} ({phase}): "
+                f"{name} {value:.3e} exceeds {tol:.0e}"
+            )
+    return drift, herm
+
+
 def run_drive(
     config: DriveConfig,
     model: SpectralModel,
@@ -187,9 +319,10 @@ def run_drive(
 ) -> tuple[ReadoutRecord, StateEnsemble]:
     """Run the full drive and record every read-out on the virtual-time grid.
 
-    Washout intervals advance the state with one precomputed full-interval
-    unitary and record nothing; training/testing intervals additionally
-    evaluate every read-out at each grid point.
+    Every interval advances ``rest`` through the Kraus blocks of the interval
+    propagator; training/testing intervals also store ``rest``, and each full
+    chunk of stored rests is read out on the whole grid at once.  The
+    running state's trace and Hermiticity are checked every interval.
     """
     if len(inputs) != config.n_total:
         raise ValueError(
@@ -204,89 +337,67 @@ def run_drive(
     labels = [p.label() for p in parsed]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate read-out operators in {labels}")
-    split = [split_qubit0(p, model.n) for p in parsed]
+    readout = _Readout(model, [split_qubit0(p, model.n) for p in parsed], config.grid)
 
-    n_chain_dim = model.dim
-    vecs = model.eigenvectors
-    vecs_h = vecs.conj().T
-    energies = model.eigenvalues
-
-    # Heisenberg dynamics enters only through eigenbasis phases on the grid.
-    grid = config.grid
-    phase_grid = np.exp(-1j * np.outer(grid, energies))  # (n_grid, dim)
-    phase_grid_ct = phase_grid.conj().T
-    phase_in = np.exp(-1j * energies * config.t_in)
+    h = model.dim // 2
     u_in = chain_propagator(model, config.t_in)
-
-    # Group read-outs by their qubit-0 axis; each group shares one weighted
-    # chain state per step.  Chain parts are pre-rotated to the eigenbasis.
-    groups: dict[str, list[int]] = {}
-    for idx, (axis0, _) in enumerate(split):
-        groups.setdefault(axis0, []).append(idx)
-    ops_eig: dict[str, np.ndarray] = {}
-    for axis0, indices in groups.items():
-        dense = [vecs_h @ build_dense(split[i][1], model.n) @ vecs for i in indices]
-        # Transposed so a plain elementwise product implements Tr[state * op].
-        ops_eig[axis0] = np.array([m.T for m in dense])
+    # Rows: K00, K10 (qubit 1 was |0>, weight s), then K01, K11 (weight 1 - s).
+    kraus = np.concatenate([u_in[:, :h], u_in[:, h:]])
+    del u_in
+    kraus_h = kraus.reshape(4, h, h).conj().transpose(0, 2, 1).reshape(4 * h, h)
+    g = model.eigenvectors[:, 0]
+    rest = np.outer(g[:h], g[:h].conj()) + np.outer(g[h:], g[h:].conj())
+    # Buffers of one step, reused: the blocks K_j rest, the same side by
+    # side, and the next rest.
+    moved = np.empty((4 * h, h), dtype=complex)
+    side = np.empty((h, 4 * h), dtype=complex)
+    spare = np.empty_like(rest)
 
     n_rows = config.n_train + config.n_test
     record_values = np.zeros((len(parsed), n_rows, config.n_grid))
-    max_imag = 0.0
-
-    half = n_chain_dim // 2
-    g = model.eigenvectors[:, 0]
-    rest = _trace_out_msb(np.outer(g, g.conj()))
-
-    chain_mean = np.zeros((n_chain_dim, n_chain_dim), dtype=complex)
+    chunk = np.empty((max(1, min(n_rows, CHUNK_BYTES // (8 * h * h))), h * h))
     n_cap = min(config.tmi_cap, config.n_test)
-    sample_inputs = np.zeros(n_cap)
-    sample_rest = np.zeros((n_cap, half, half), dtype=complex)
+    sample_packed = np.zeros((n_cap, h * h))
+    # Sums of s_k rest_k and (1 - s_k) rest_k over the testing intervals:
+    # the qubit-1 blocks of the summed post-injection chain state.
+    mean_packed = np.zeros((2, h * h))
+    max_drift = max_herm = 0.0
 
     for k in range(config.n_total):
         s = float(s_values[k])
-        sigma = _weighted_chain_state("i", s, rest)
-
-        drift = abs(np.trace(sigma).real - 1.0)
-        if drift > TRACE_DRIFT_TOL or not np.isfinite(drift):
-            herm = float(np.max(np.abs(sigma - sigma.conj().T)))
-            raise DriveError(
-                f"state invariant violated at interval {k}: trace drift "
-                f"{drift:.3e}, hermiticity residue {herm:.3e}"
-            )
-
-        if k < config.n_washout:
-            rest = _trace_out_msb(u_in @ sigma @ u_in.conj().T)
-            continue
+        drift, herm = _state_health(rest, k, config)
+        max_drift, max_herm = max(max_drift, drift), max(max_herm, herm)
 
         row = k - config.n_washout
-        if row >= config.n_train:
-            chain_mean += sigma
+        if row >= 0:
+            slot = row % len(chunk)
+            packed = chunk[slot]
+            packed[:] = pack_hermitian(rest)
             spot = row - config.n_train
-            if spot < n_cap:
-                sample_inputs[spot] = s
-                sample_rest[spot] = rest
+            if spot >= 0:
+                mean_packed[0] += s * packed
+                mean_packed[1] += (1.0 - s) * packed
+                if spot < n_cap:
+                    sample_packed[spot] = packed
+            if slot == len(chunk) - 1 or row == n_rows - 1:
+                record_values[:, row - slot : row + 1] = readout(
+                    chunk[: slot + 1], s_values[k - slot : k + 1]
+                )
 
-        sigma_eig = vecs_h @ sigma @ vecs
-        for axis0, indices in groups.items():
-            if axis0 == "i":
-                weighted = sigma_eig
-            else:
-                weighted = vecs_h @ _weighted_chain_state(axis0, s, rest) @ vecs
-            # value[o, m] = sum_ab weighted[a,b] op[b,a] e^{-i(E_a - E_b) tau_m}
-            prod = weighted[None, :, :] * ops_eig[axis0]
-            tmp = prod @ phase_grid_ct  # (n_ops, dim, n_grid)
-            vals = np.einsum("ma,oam->om", phase_grid, tmp)
-            max_imag = max(max_imag, float(np.max(np.abs(vals.imag))))
-            record_values[indices, row, :] = vals.real
+        np.matmul(kraus, rest, out=moved)
+        moved[: 2 * h] *= s
+        moved[2 * h :] *= 1.0 - s
+        np.copyto(side.reshape(h, 4, h), moved.reshape(4, h, h).transpose(1, 0, 2))
+        rest, spare = np.matmul(side, kraus_h, out=spare), rest
 
-        evolved_eig = (phase_in[:, None] * sigma_eig) * phase_in.conj()[None, :]
-        rest = _trace_out_msb(vecs @ evolved_eig @ vecs_h)
-
-    chain_mean /= config.n_test
+    blocks = unpack_hermitian(mean_packed) / config.n_test
+    chain_mean = np.zeros((model.dim, model.dim), dtype=complex)
+    chain_mean[:h, :h] = blocks[0]
+    chain_mean[h:, h:] = blocks[1]
 
     record = ReadoutRecord(
         operators=labels,
-        grid=grid,
+        grid=config.grid,
         values=record_values,
         n_train=config.n_train,
         n_test=config.n_test,
@@ -295,8 +406,9 @@ def run_drive(
     )
     ensemble = StateEnsemble(
         chain_mean=chain_mean,
-        sample_inputs=sample_inputs,
-        sample_rest=sample_rest,
-        max_imag_residue=max_imag,
+        sample_inputs=s_values[config.n_washout + config.n_train :][:n_cap].copy(),
+        sample_packed=sample_packed,
+        max_trace_drift=max_drift,
+        max_hermiticity_residue=max_herm,
     )
     return record, ensemble

@@ -336,7 +336,8 @@ def run_experiment(
     results: dict = {}
     warnings: dict = {
         "degenerate_ground": model.degenerate_ground,
-        "max_readout_imag": ensemble.max_imag_residue,
+        "max_trace_drift": ensemble.max_trace_drift,
+        "max_hermiticity_residue": ensemble.max_hermiticity_residue,
     }
     grid = config.drive.grid
 
@@ -409,17 +410,17 @@ def run_experiment(
 
     max_otoc_imag = 0.0
     for spec in config.tasks.otoc:
-        values, residue = otoc_curve(ensemble, spec, model, grid)
-        max_otoc_imag = max(max_otoc_imag, residue)
+        values = otoc_curve(ensemble, spec, model, grid)
+        max_otoc_imag = max(max_otoc_imag, float(np.max(np.abs(values.imag))))
         fname = f"otoc_{spec.name()}.csv"
         write_csv(
             out_dir / fname,
-            ["tau", "value"],
-            ((float(t), float(v)) for t, v in zip(grid, values)),
+            ["tau", "value", "imag"],
+            ((float(t), v.real, v.imag) for t, v in zip(grid, values)),
         )
         outputs.append(fname)
     if config.tasks.otoc:
-        warnings["max_otoc_imag"] = max_otoc_imag
+        results["max_otoc_imag"] = max_otoc_imag
 
     for spec in config.tasks.tmi:
         values = tmi_curve(ensemble, spec, model, grid)

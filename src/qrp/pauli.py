@@ -119,3 +119,29 @@ def build_dense(p: PauliString, register_size: int) -> np.ndarray:
     if not factors:
         return np.eye(1, dtype=complex)
     return reduce(np.kron, factors)
+
+
+def signed_permutation(p: PauliString, register_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, sign)`` with ``build_dense(p, n) @ a == sign[:, None] * a[perm]``.
+
+    A Pauli string sends each basis state to one basis state times a phase,
+    so applying it from the left is a row gather with a phase per row.
+    """
+    if p.terms and max(p.sites) >= register_size:
+        raise ValueError(
+            f"operator {p.label()!r} uses site {max(p.sites)} outside "
+            f"register of {register_size} qubits"
+        )
+    index = np.arange(2**register_size)
+    perm = index.copy()
+    sign = np.ones(2**register_size, dtype=complex)
+    for site, axis in p.terms:
+        shift = register_size - 1 - site
+        parity = 1 - 2 * ((index >> shift) & 1)  # (-1)^bit of the row
+        if axis != "z":
+            perm ^= 1 << shift
+        if axis == "y":
+            sign *= -1j * parity
+        elif axis == "z":
+            sign *= parity
+    return perm, sign

@@ -8,6 +8,8 @@ reduced state of qubits 2..N untouched.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 EIG_CUTOFF = 1e-12
@@ -68,3 +70,43 @@ def spectrum_entropy(eigenvalues: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Base-2 von Neumann entropy; tiny negative eigenvalues are clamped."""
     return float(spectrum_entropy(np.linalg.eigvalsh(rho)))
+
+
+@lru_cache(maxsize=16)
+def _packing_index(h: int) -> np.ndarray:
+    """Positions, in the float64 view of a C-ordered complex h x h matrix, of
+    its real diagonal, then the real and the imaginary parts of its strict
+    upper triangle (row by row).  Cached per size, so read-only."""
+    rows, cols = np.triu_indices(h, 1)
+    diag = np.arange(h)
+    upper = 2 * (rows * h + cols)
+    index = np.concatenate([2 * diag * (h + 1), upper, upper + 1])
+    index.flags.writeable = False
+    return index
+
+
+def pack_hermitian(mats: np.ndarray) -> np.ndarray:
+    """Hermitian h x h matrices as h**2 real numbers each.
+
+    The packed form is the real diagonal, then the real and the imaginary
+    parts of the strict upper triangle; only the upper triangle is read.
+    For Hermitian A and B, Tr[A B] is the dot product of pack(A) with
+    pack(B) once the off-diagonal entries of pack(B) are doubled.  Leading
+    axes are a stack.
+    """
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    h = mats.shape[-1]
+    flat = mats.view(np.float64).reshape(mats.shape[:-2] + (2 * h * h,))
+    return flat[..., _packing_index(h)]
+
+
+def unpack_hermitian(packed: np.ndarray) -> np.ndarray:
+    """Inverse of ``pack_hermitian``: the Hermitian matrices, as complex."""
+    h = int(round(np.sqrt(packed.shape[-1])))
+    out = np.zeros(packed.shape[:-1] + (h, h), dtype=complex)
+    flat = out.view(np.float64).reshape(packed.shape[:-1] + (2 * h * h,))
+    flat[..., _packing_index(h)] = packed  # the upper triangle
+    out += np.swapaxes(out, -1, -2).conj()
+    diag = np.arange(h)
+    out[..., diag, diag] = packed[..., :h]
+    return out

@@ -6,11 +6,12 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.linalg
 
 from qrp.driver import StateEnsemble
 from qrp.hamiltonian import SpectralModel, chain_propagator, ground_state
 from qrp.pauli import PauliString, build_dense
-from qrp.states import input_state, n_qubits_of, partial_trace
+from qrp.states import input_state, n_qubits_of, pack_hermitian, partial_trace
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -119,7 +120,7 @@ def register_ensemble(
     return StateEnsemble(
         chain_mean=trace_out_qubit0(mean_state),
         sample_inputs=sample_inputs,
-        sample_rest=sample_rest,
+        sample_packed=pack_hermitian(sample_rest),
     )
 
 
@@ -127,3 +128,61 @@ def sample_state(ensemble: StateEnsemble, index: int) -> np.ndarray:
     """Full-register density matrix of snapshot ``index`` at tau = 0."""
     psi = input_state(float(ensemble.sample_inputs[index]))
     return np.kron(np.outer(psi, psi.conj()), ensemble.sample_rest[index])
+
+
+def register_hamiltonian(n: int, h_x: float, h_z: float) -> np.ndarray:
+    """Chain Hamiltonian on the full register, qubit 0 untouched, built from
+    Kronecker products of 2x2 Paulis (independent of ``build_hamiltonian``)."""
+    paulis = {
+        "x": np.array([[0, 1], [1, 0]], dtype=complex),
+        "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+
+    def on_sites(ops):
+        out = np.ones((1, 1), dtype=complex)
+        for q in range(n + 1):
+            out = np.kron(out, paulis[ops[q]] if q in ops else np.eye(2))
+        return out
+
+    ham = sum(-on_sites({q: "x", q + 1: "x"}) for q in range(1, n))
+    return ham + sum(
+        h_x * on_sites({q: "x"}) + h_z * on_sites({q: "z"}) for q in range(1, n + 1)
+    )
+
+
+def expm_drive(n, h_x, h_z, cfg, inputs, readouts=()):
+    """Full-register drive with ``expm`` propagators.
+
+    Returns the register Hamiltonian, the mean testing state, the first
+    ``tmi_cap`` testing snapshots (all at virtual time zero), and each
+    read-out's values on the grid over the training and testing intervals.
+    """
+    ham = register_hamiltonian(n, h_x, h_z)
+    chain = ham[: 2**n, : 2**n]
+    ground = scipy.linalg.eigh(chain)[1][:, 0]
+    up = np.zeros((2, 2), dtype=complex)
+    up[0, 0] = 1.0
+    rho = np.kron(up, np.outer(ground, ground.conj()))
+    u_in = scipy.linalg.expm(-1j * cfg.t_in * ham)
+    units = [scipy.linalg.expm(-1j * float(tau) * ham) for tau in cfg.grid]
+    moved_ops = {
+        p.label(): [u.conj().T @ build_dense(p, n + 1) @ u for u in units]
+        for p in readouts
+    }
+    values = {label: np.zeros((cfg.n_train + cfg.n_test, cfg.n_grid)) for label in moved_ops}
+    mean = np.zeros_like(rho)
+    snapshots = []
+    for k, s in enumerate(inputs.values):
+        psi = input_state(float(s))
+        rest = partial_trace(rho, tuple(range(2, n + 1)))
+        rho = np.kron(np.outer(psi, psi.conj()), rest)
+        row = k - cfg.n_washout
+        if row >= 0:
+            for label, ops in moved_ops.items():
+                values[label][row] = [np.trace(rho @ op).real for op in ops]
+        if row >= cfg.n_train:
+            mean += rho / cfg.n_test
+            if len(snapshots) < cfg.tmi_cap:
+                snapshots.append(rho)
+        rho = u_in @ rho @ u_in.conj().T
+    return ham, mean, snapshots, values

@@ -211,6 +211,20 @@ class TestRunExperiment:
         assert manifest["warnings"]["degenerate_ground"] is False
         assert set(manifest["outputs"]) >= {"stm_z1_d0.csv", "otoc_z2_z1.csv"}
 
+    def test_otoc_imaginary_part_and_drive_health(self, tiny_run):
+        out, manifest_path = tiny_run
+        manifest = json.loads(manifest_path.read_text())
+        lines = (out / "otoc_z2_z1.csv").read_text().strip().split("\n")
+        assert lines[0] == "tau,value,imag"
+        imag = [abs(float(line.split(",")[2])) for line in lines[1:]]
+        assert manifest["results"]["max_otoc_imag"] == max(imag)
+        health = manifest["warnings"]
+        assert set(health) == {
+            "degenerate_ground", "max_trace_drift", "max_hermiticity_residue"
+        }
+        assert 0.0 <= health["max_trace_drift"] < 1e-12
+        assert 0.0 <= health["max_hermiticity_residue"] < 1e-12
+
     def test_repeat_run_bit_identical(self, tiny_run, tmp_path):
         out, _ = tiny_run
         config = build_config(

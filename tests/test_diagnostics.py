@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    expm_drive,
     heisenberg,
     propagator,
     random_density,
@@ -27,7 +28,7 @@ from qrp.diagnostics import (
 from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
 from qrp.hamiltonian import CHAOTIC, IsingParams, spectral_model
 from qrp.pauli import PauliString, build_dense
-from qrp.states import input_state, partial_trace
+from qrp.states import input_state, pack_hermitian, partial_trace
 
 
 def make_register_mean(s_vals, rests):
@@ -192,14 +193,38 @@ class TestOtoc:
                 oracle = np.trace(mixed @ w_tau @ v @ w_tau @ v).real
                 assert abs(otoc(ensemble, spec, model, float(tau)) - oracle) < 1e-10
 
+    @pytest.mark.parametrize("n, w, v", [(2, "x1", "x1"), (4, "x0*z3", "y0*x1")])
+    def test_imaginary_part_matches_expm_oracle(self, n, w, v):
+        """W(tau) V W(tau) V is not Hermitian for these pairs, so the OTOC
+        is complex; both parts are pinned to a full-register ``expm`` drive."""
+        h_x, h_z = CHAOTIC
+        cfg = DriveConfig(
+            t_in=5.0, n_grid=5, n_washout=4, n_train=4, n_test=6, seed=42, tmi_cap=0
+        )
+        model = spectral_model(IsingParams(n=n, h_x=h_x, h_z=h_z))
+        inputs = generate_inputs(cfg.seed, cfg.n_total)
+        _, ensemble = run_drive(cfg, model, ["z1"], inputs)
+        ham, mean, _, _ = expm_drive(n, h_x, h_z, cfg, inputs)
+        spec = OtocSpec.of(w, v)
+        w_dense, v_dense = build_dense(spec.w, n + 1), build_dense(spec.v, n + 1)
+        want = []
+        for tau in cfg.grid:
+            u = scipy.linalg.expm(-1j * float(tau) * ham)
+            w_tau = u.conj().T @ w_dense @ u
+            want.append(np.trace(mean @ w_tau @ v_dense @ w_tau @ v_dense))
+        want = np.array(want)
+        got = otoc_curve(ensemble, spec, model, cfg.grid)
+        assert np.max(np.abs(got - want)) < 1e-10
+        assert np.max(np.abs(want.imag)) > 0.01
+
     def test_curve_shape_and_residue(self, chaotic3):
         rng = np.random.default_rng(37)
         ensemble = make_ensemble(rng, chaotic3)
-        values, residue = otoc_curve(
+        values = otoc_curve(
             ensemble, OtocSpec.of("z2", "z1"), chaotic3, np.linspace(0, 1, 5)
         )
         assert values.shape == (5,)
-        assert residue < 1e-8
+        assert np.max(np.abs(values.imag)) < 1e-8
 
 
 class TestTmi:
@@ -286,54 +311,10 @@ class TestEndToEndDiagnostics:
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         _, ensemble = run_drive(cfg, model, ["z1"], inputs)
         taus = cfg.grid
-        values, _ = otoc_curve(ensemble, OtocSpec.of("z2", "z1"), model, taus)
+        values = otoc_curve(ensemble, OtocSpec.of("z2", "z1"), model, taus)
         assert abs(values[0] - 1.0) < 1e-9
         curve = tmi_curve(ensemble, TmiSpec(a=(0,), b=(2,), c=(3,)), model, taus)
         assert abs(curve[0]) < 1e-8  # info still local right after injection
-
-
-def _register_hamiltonian(n, h_x, h_z):
-    """Chain Hamiltonian on the full register, qubit 0 untouched, built from
-    Kronecker products of 2x2 Paulis (independent of ``build_hamiltonian``)."""
-    paulis = {
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-
-    def on_sites(ops):
-        out = np.ones((1, 1), dtype=complex)
-        for q in range(n + 1):
-            out = np.kron(out, paulis[ops[q]] if q in ops else np.eye(2))
-        return out
-
-    ham = sum(-on_sites({q: "x", q + 1: "x"}) for q in range(1, n))
-    return ham + sum(
-        h_x * on_sites({q: "x"}) + h_z * on_sites({q: "z"}) for q in range(1, n + 1)
-    )
-
-
-def _expm_drive(n, h_x, h_z, cfg, inputs):
-    """Full-register drive with ``expm`` propagators: the mean testing state
-    and the first ``tmi_cap`` testing snapshots, all at virtual time zero."""
-    ham = _register_hamiltonian(n, h_x, h_z)
-    chain = ham[: 2**n, : 2**n]
-    ground = scipy.linalg.eigh(chain)[1][:, 0]
-    up = np.zeros((2, 2), dtype=complex)
-    up[0, 0] = 1.0
-    rho = np.kron(up, np.outer(ground, ground.conj()))
-    u_in = scipy.linalg.expm(-1j * cfg.t_in * ham)
-    mean = np.zeros_like(rho)
-    snapshots = []
-    for k, s in enumerate(inputs.values):
-        psi = input_state(float(s))
-        rest = partial_trace(rho, tuple(range(2, n + 1)))
-        rho = np.kron(np.outer(psi, psi.conj()), rest)
-        if k >= cfg.n_washout + cfg.n_train:
-            mean += rho / cfg.n_test
-            if len(snapshots) < cfg.tmi_cap:
-                snapshots.append(rho)
-        rho = u_in @ rho @ u_in.conj().T
-    return ham, mean, snapshots
 
 
 def _oracle_tmi(rho, spec):
@@ -382,7 +363,7 @@ class TestChainLevelAgainstExpm:
         model = spectral_model(IsingParams(n=n, h_x=h_x, h_z=h_z))
         inputs = generate_inputs(seed, cfg.n_total)
         _, ensemble = run_drive(cfg, model, ["z1"], inputs)
-        ham, mean, snapshots = _expm_drive(n, h_x, h_z, cfg, inputs)
+        ham, mean, snapshots, _ = expm_drive(n, h_x, h_z, cfg, inputs)
         taus = np.append(cfg.grid, 2.7 * t_in)
         units = [scipy.linalg.expm(-1j * float(tau) * ham) for tau in taus]
 
@@ -410,9 +391,8 @@ class TestChainLevelAgainstExpm:
                 want.append(np.trace(mean @ w_tau @ v @ w_tau @ v))
             want = np.array(want)
             spec = OtocSpec(PauliString.from_terms(w_terms), PauliString.from_terms(v_terms))
-            got, residue = otoc_curve(ensemble, spec, model, taus)
-            assert np.max(np.abs(got - want.real)) < 1e-10
-            assert abs(residue - np.max(np.abs(want.imag))) < 1e-10
+            got = otoc_curve(ensemble, spec, model, taus)
+            assert np.max(np.abs(got - want)) < 1e-10
 
         qubits = [q for q in order if q <= n]
         specs = [TmiSpec(a=(0,), b=(1,), c=tuple(range(2, n + 1)))]
@@ -456,7 +436,7 @@ class TestMemoryBound:
         ensemble = StateEnsemble(
             chain_mean=random_density(rng, model.dim),
             sample_inputs=np.array([0.3]),
-            sample_rest=random_density(rng, model.dim // 2)[None],
+            sample_packed=pack_hermitian(random_density(rng, model.dim // 2)[None]),
         )
         return model, ensemble, DriveConfig().grid
 

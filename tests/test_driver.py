@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import initial_state, inject_input, propagator, trace_out_qubit0
+import qrp.driver
+from helpers import expm_drive, initial_state, inject_input, propagator, trace_out_qubit0
 from qrp.driver import (
     DriveConfig,
     DriveError,
@@ -9,8 +18,33 @@ from qrp.driver import (
     run_drive,
 )
 from qrp.hamiltonian import IsingParams, spectral_model
-from qrp.pauli import build_dense, parse_operator_label
+from qrp.pauli import PauliString, build_dense, parse_operator_label
 from qrp.states import partial_trace
+
+ORDERS = {"heisenberg": True, "eigenbasis": False}
+
+
+def force_order(mp, order: str, n: int, rows: int) -> list[str]:
+    """Make ``run_drive`` read out ``rows`` stored rests per chunk, all in
+    one contraction order; returns the list of orders that ran."""
+    mp.setattr(qrp.driver, "CHUNK_BYTES", rows * 8 * 4 ** (n - 1))
+    mp.setattr(qrp.driver, "_heisenberg_is_cheaper", lambda *args: ORDERS[order])
+    ran = []
+    for name in ORDERS:
+        method = getattr(qrp.driver._Readout, "_" + name)
+
+        def spy(self, packed, s, method=method, name=name):
+            ran.append(name)
+            return method(self, packed, s)
+
+        mp.setattr(qrp.driver._Readout, "_" + name, spy)
+    return ran
+
+
+def assert_physical(rho: np.ndarray) -> None:
+    assert abs(np.trace(rho) - 1.0) < 1e-9
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
+    assert np.linalg.eigvalsh(rho)[0] > -1e-8
 
 
 def small_config(**kwargs):
@@ -107,14 +141,18 @@ class TestRunDrive:
         cfg = small_config()
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         labels = ["z1", "z0", "x0*x1", "y0*y2", "z2", "x2*x3", "z1*z3", "x3"]
-        record, ensemble = run_drive(cfg, model, labels, inputs)
         values, boundary, mean, rests = reference_drive(cfg, model, labels, inputs)
-        for lab in labels:
-            got = record.values[record.index_of(lab)]
-            assert np.max(np.abs(got - values[lab])) < 1e-10
-        assert np.max(np.abs(ensemble.chain_mean - trace_out_qubit0(mean))) < 1e-10
-        assert ensemble.sample_rest.shape == rests.shape
-        assert np.max(np.abs(ensemble.sample_rest - rests)) < 1e-10
+        for order in ORDERS:
+            with pytest.MonkeyPatch.context() as mp:
+                ran = force_order(mp, order, model.n, rows=2)
+                record, ensemble = run_drive(cfg, model, labels, inputs)
+            assert set(ran) == {order}
+            for lab in labels:
+                got = record.values[record.index_of(lab)]
+                assert np.max(np.abs(got - values[lab])) < 1e-10
+            assert np.max(np.abs(ensemble.chain_mean - trace_out_qubit0(mean))) < 1e-10
+            assert ensemble.sample_rest.shape == rests.shape
+            assert np.max(np.abs(ensemble.sample_rest - rests)) < 1e-10
 
     def test_continuity_across_injection_for_distant_operators(self):
         # operators on qubits >= 2 see no jump when a new input lands
@@ -182,10 +220,9 @@ class TestRunDrive:
         cfg = small_config(n_washout=10, n_train=10, n_test=10)
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         _, ensemble = run_drive(cfg, model, ["z1"], inputs)
-        rho = ensemble.chain_mean
-        assert abs(np.trace(rho) - 1.0) < 1e-9
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
-        assert np.linalg.eigvalsh(rho)[0] > -1e-8
+        assert_physical(ensemble.chain_mean)
+        assert ensemble.max_trace_drift < 1e-12
+        assert ensemble.max_hermiticity_residue < 1e-12
 
     def test_trace_drift_aborts(self):
         params = IsingParams(n=2, h_x=0.0, h_z=1.0)
@@ -193,8 +230,23 @@ class TestRunDrive:
         model.eigenvectors = model.eigenvectors * 1.001  # force a broken basis
         cfg = small_config()
         inputs = generate_inputs(cfg.seed, cfg.n_total)
-        with pytest.raises(DriveError, match="trace drift"):
+        with pytest.raises(DriveError, match=r"interval 0 \(washout\): trace drift"):
             run_drive(cfg, model, ["z1"], inputs)
+
+    def test_broken_state_names_interval_phase_and_quantity(self):
+        cfg = small_config()  # washout 4, train 5, test 4
+        good = np.diag([0.25, 0.75]).astype(complex)
+        skewed = good.copy()
+        skewed[0, 1] = 1e-3
+        cases = [
+            (good * 1.01, 2, r"interval 2 \(washout\): trace drift 1\.000e-02"),
+            (skewed, 6, r"interval 6 \(train\): Hermiticity residue 1\.000e-03"),
+            (good * np.nan, 9, r"interval 9 \(test\): trace drift nan"),
+        ]
+        for rest, k, message in cases:
+            with pytest.raises(DriveError, match=message):
+                qrp.driver._state_health(rest, k, cfg)
+        assert qrp.driver._state_health(good, 0, cfg) == (0.0, 0.0)
 
     def test_input_length_validated(self):
         params = IsingParams(n=2, h_x=0.0, h_z=1.0)
@@ -212,3 +264,136 @@ class TestRunDrive:
             run_drive(cfg, model, ["z5"], inputs)
         with pytest.raises(ValueError, match="duplicate"):
             run_drive(cfg, model, ["z1", "z1"], inputs)
+
+
+_CHAIN_TERMS = st.dictionaries(st.integers(1, 4), st.sampled_from("xyz"), max_size=3)
+
+
+class TestAgainstExpmDrive:
+    """``run_drive`` in both contraction orders against a full-register
+    ``expm`` drive, with chunks of three stored rests, so that chunk
+    boundaries fall inside both the training and the testing phase."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        h_x=st.floats(-1.0, 1.0),
+        h_z=st.floats(0.3, 1.5),
+        t_in=st.floats(0.3, 3.0),
+        lengths=st.tuples(st.integers(0, 3), st.integers(4, 7), st.integers(4, 7)),
+        tmi_cap=st.integers(0, 8),
+        seed=st.integers(0, 2**16),
+        chains=st.lists(_CHAIN_TERMS, min_size=4, max_size=4),
+    )
+    def test_matches_expm_drive(self, n, h_x, h_z, t_in, lengths, tmi_cap, seed, chains):
+        washout, train, test = lengths
+        cfg = DriveConfig(
+            t_in=t_in, n_grid=3, n_washout=washout, n_train=train, n_test=test,
+            seed=seed, tmi_cap=tmi_cap,
+        )
+        # One read-out per qubit-0 axis, with a random chain part.
+        readouts = []
+        for axis0, terms in zip("ixyz", chains):
+            chain = {1 + (q - 1) % n: a for q, a in terms.items()}
+            if axis0 == "i":
+                readouts.append(PauliString.from_terms(chain or {1: "z"}))
+            else:
+                readouts.append(PauliString.from_terms({0: axis0, **chain}))
+        model = spectral_model(IsingParams(n=n, h_x=h_x, h_z=h_z))
+        inputs = generate_inputs(seed, cfg.n_total)
+        _, mean, snapshots, values = expm_drive(n, h_x, h_z, cfg, inputs, readouts)
+        want_rests = [partial_trace(rho, tuple(range(2, n + 1))) for rho in snapshots]
+        for order in ORDERS:
+            with pytest.MonkeyPatch.context() as mp:
+                ran = force_order(mp, order, n, rows=3)
+                record, ensemble = run_drive(cfg, model, readouts, inputs)
+            assert set(ran) == {order}
+            for p in readouts:
+                got = record.values[record.index_of(p.label())]
+                assert np.max(np.abs(got - values[p.label()])) < 1e-10
+            assert np.max(np.abs(ensemble.chain_mean - trace_out_qubit0(mean))) < 1e-10
+            assert_physical(ensemble.chain_mean)
+            assert ensemble.n_samples == len(want_rests)
+            if want_rests:
+                assert np.max(np.abs(ensemble.sample_rest - np.array(want_rests))) < 1e-10
+
+
+class TestReadoutOrderChoice:
+    """The operation counts pick the Heisenberg order for chunks long enough
+    to pay for its blocks, and the eigenbasis order otherwise."""
+
+    def test_choices(self):
+        choose = qrp.driver._heisenberg_is_cheaper
+        # fig4 at N = 8 on a 50/100/100 drive: 200 stored rests, one chunk
+        assert choose(200, 2**8, ["i"] * 8, 50)
+        # 20 terms of H at N = 7, 300 stored rests
+        assert choose(300, 2**7, ["i"] * 20, 50)
+        # N = 9 and 10 with the appA read-outs on a 10/20/20 drive
+        assert not choose(40, 2**9, ["i"] * 9, 50)
+        assert not choose(16, 2**10, ["i"] * 10, 50)
+        # a one-interval chunk never pays for the blocks
+        assert not choose(1, 2**7, ["i", "x", "y", "z"], 50)
+
+
+class TestDriveMemoryBound:
+    """Traced peak of ``run_drive`` at N = 8 with chunks of eight stored
+    rests (a 1 MiB budget): it must not grow with the drive, and stays under
+    ``BOUND_CHUNKS`` budgets, i.e. one chunk plus 31 2^8 x 2^8 complex chain
+    matrices of 1 MiB.  Storing every rest of the longer drive would add
+    15 MiB."""
+
+    BOUND_CHUNKS = 32
+    READOUTS = ["z1", "x0*z2", "y0*x3", "z0*z4"]
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return spectral_model(IsingParams(n=8, h_x=-0.5, h_z=1.05))
+
+    @pytest.mark.parametrize("order", list(ORDERS))
+    def test_peak_flat_in_drive_length(self, model, order):
+        peaks = []
+        budget = 0
+        for length in (20, 80):
+            cfg = DriveConfig(
+                n_grid=5, n_washout=10, n_train=length, n_test=length, tmi_cap=2
+            )
+            inputs = generate_inputs(cfg.seed, cfg.n_total)
+            with pytest.MonkeyPatch.context() as mp:
+                force_order(mp, order, model.n, rows=8)
+                budget = qrp.driver.CHUNK_BYTES
+                tracemalloc.start()
+                try:
+                    run_drive(cfg, model, self.READOUTS, inputs)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        short, long = peaks
+        assert abs(long - short) < 0.1 * short, [p / 2**20 for p in peaks]
+        assert max(peaks) < self.BOUND_CHUNKS * budget, [p / 2**20 for p in peaks]
+
+
+_THREAD_SCRIPT = """
+import sys
+import numpy as np
+from qrp import DriveConfig, IsingParams, generate_inputs, run_drive, spectral_model
+model = spectral_model(IsingParams(n=6, h_x=-0.5, h_z=1.05))
+cfg = DriveConfig(n_washout=10, n_train=40, n_test=40, seed=5)
+record, ensemble = run_drive(
+    cfg, model, ["z1", "x0*z2", "y0*x3", "z0*z4", "x2*x3"], generate_inputs(5, cfg.n_total)
+)
+np.save(sys.argv[1], record.values)
+"""
+
+
+def test_blas_thread_count_does_not_change_results(tmp_path):
+    src = str(Path(qrp.driver.__file__).resolve().parents[1])
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}.npy"
+        subprocess.run(
+            [sys.executable, "-c", _THREAD_SCRIPT, str(out)], env=env, check=True, timeout=120
+        )
+        values.append(np.load(out))
+    assert np.max(np.abs(values[0] - values[1])) < 1e-12

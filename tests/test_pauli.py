@@ -8,6 +8,7 @@ from qrp.pauli import (
     PauliString,
     build_dense,
     parse_operator_label,
+    signed_permutation,
 )
 
 
@@ -92,3 +93,24 @@ class TestBuildDense:
         p = PauliString.from_terms({0: "y", 1: "x", 2: "z"})
         mat = build_dense(p, 3)
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
+
+
+class TestSignedPermutation:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.dictionaries(st.integers(0, n - 1), st.sampled_from("xyz"), max_size=n),
+            )
+        )
+    )
+    def test_matches_dense_product(self, case):
+        n, terms = case
+        p = PauliString.from_terms(terms)
+        a = np.arange(4**n).reshape(2**n, 2**n) * (1 + 0.5j)
+        perm, sign = signed_permutation(p, n)
+        np.testing.assert_array_equal(sign[:, None] * a[perm], build_dense(p, n) @ a)
+
+    def test_site_outside_register(self):
+        with pytest.raises(ValueError, match="outside"):
+            signed_permutation(PauliString.from_terms({3: "x"}), 3)

@@ -7,11 +7,18 @@ from helpers import (
     inject_input,
     purity,
     random_density,
+    random_hermitian,
     random_pure,
 )
 from qrp.hamiltonian import IsingParams, spectral_model
 from qrp.pauli import PauliString
-from qrp.states import input_state, partial_trace, von_neumann_entropy
+from qrp.states import (
+    input_state,
+    pack_hermitian,
+    partial_trace,
+    unpack_hermitian,
+    von_neumann_entropy,
+)
 
 
 def bell_pair():
@@ -186,3 +193,22 @@ class TestEntropy:
         # tiny negative eigenvalues must not poison the log
         value = von_neumann_entropy(np.diag([1.0 + 5e-9, -5e-9]))
         assert np.isfinite(value) and abs(value) < 1e-8
+
+
+class TestPackHermitian:
+    @pytest.mark.parametrize("h", [1, 2, 8])
+    def test_round_trip_and_trace_product(self, h):
+        rng = np.random.default_rng(h)
+        stack = np.array([random_hermitian(rng, h) for _ in range(3)])
+        other = random_hermitian(rng, h)
+        packed = pack_hermitian(stack)
+        assert packed.shape == (3, h * h) and packed.dtype == np.float64
+        np.testing.assert_array_equal(unpack_hermitian(packed), stack)
+        weights = pack_hermitian(other)
+        weights[h:] *= 2.0
+        want = np.einsum("kab,ba->k", stack, other).real
+        np.testing.assert_allclose(packed @ weights, want, atol=1e-12)
+
+    def test_reads_upper_triangle_only(self):
+        mat = np.array([[1.0, 2.0 + 3.0j], [99.0, 4.0]])
+        np.testing.assert_array_equal(pack_hermitian(mat), [1.0, 4.0, 2.0, 3.0])
