@@ -24,7 +24,7 @@ import numpy as np
 from .driver import StateEnsemble, split_qubit0
 from .hamiltonian import SpectralModel
 from .pauli import PauliString, as_pauli_string, build_dense
-from .states import partial_trace, spectrum_entropy, unpack_hermitian
+from .states import partial_trace, spectrum_entropy
 
 CHUNK_BYTES = 8 * 2**20
 _COMPLEX_BYTES = 16
@@ -243,8 +243,7 @@ def tmi_curve(
         blocks = [scaled @ vecs_h[:, :half], scaled @ vecs_h[:, half:]]
         del scaled
         shaped = [blk.reshape(count, kept_dim, -1) for blk in blocks]
-        for s, packed in zip(ensemble.sample_inputs, ensemble.sample_packed):
-            rest = unpack_hermitian(packed)
+        for s, rest in zip(ensemble.sample_inputs, ensemble.sample_rest):
             # L_b rest L_a^dag = L_b conj(L_a rest)^T for Hermitian rest, so
             # each half needs one conjugated product and no conjugate copy
             # of the blocks; the halves are taken one at a time.

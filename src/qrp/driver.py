@@ -134,26 +134,22 @@ class StateEnsemble:
     ``chain_mean`` is the post-injection test state averaged over the testing
     intervals with qubit 0 traced out; it is all that correlators and OTOCs
     need.  Snapshots are stored at virtual time zero as ``(s_k, rho_rest)``
-    pairs, from which entropy diagnostics rebuild any reduced state exactly;
-    ``rho_rest`` is kept packed by ``states.pack_hermitian``.  The health
-    figures are the running state's largest trace drift and Hermiticity
-    residue over the whole drive.
+    pairs, from which entropy diagnostics rebuild any reduced state exactly.
+    They stay complex: entropy diagnostics use each one once per chunk of
+    grid times, and unpacking a packed copy every time made them 20-25%
+    slower at N = 8 and 9.  The health figures are the running state's
+    largest trace drift and Hermiticity residue over the whole drive.
     """
 
     chain_mean: np.ndarray  # (2**N, 2**N)
     sample_inputs: np.ndarray
-    sample_packed: np.ndarray  # (n_samples, 4**(N-1)), real
+    sample_rest: np.ndarray  # (n_samples, 2**(N-1), 2**(N-1))
     max_trace_drift: float = 0.0
     max_hermiticity_residue: float = 0.0
 
     @property
     def n_samples(self) -> int:
         return len(self.sample_inputs)
-
-    @property
-    def sample_rest(self) -> np.ndarray:
-        """The snapshots' ``rho_rest``, (n_samples, 2**(N-1), 2**(N-1))."""
-        return unpack_hermitian(self.sample_packed)
 
 
 def split_qubit0(p: PauliString, n_chain: int) -> tuple[str, PauliString]:
@@ -355,9 +351,11 @@ def run_drive(
 
     n_rows = config.n_train + config.n_test
     record_values = np.zeros((len(parsed), n_rows, config.n_grid))
-    chunk = np.empty((max(1, min(n_rows, CHUNK_BYTES // (8 * h * h))), h * h))
+    # Without read-outs a chunk is never read, so one row suffices.
+    chunk_rows = min(n_rows, CHUNK_BYTES // (8 * h * h)) if parsed else 1
+    chunk = np.empty((max(1, chunk_rows), h * h))
     n_cap = min(config.tmi_cap, config.n_test)
-    sample_packed = np.zeros((n_cap, h * h))
+    sample_rest = np.zeros((n_cap, h, h), dtype=complex)
     # Sums of s_k rest_k and (1 - s_k) rest_k over the testing intervals:
     # the qubit-1 blocks of the summed post-injection chain state.
     mean_packed = np.zeros((2, h * h))
@@ -378,8 +376,8 @@ def run_drive(
                 mean_packed[0] += s * packed
                 mean_packed[1] += (1.0 - s) * packed
                 if spot < n_cap:
-                    sample_packed[spot] = packed
-            if slot == len(chunk) - 1 or row == n_rows - 1:
+                    sample_rest[spot] = rest
+            if parsed and (slot == len(chunk) - 1 or row == n_rows - 1):
                 record_values[:, row - slot : row + 1] = readout(
                     chunk[: slot + 1], s_values[k - slot : k + 1]
                 )
@@ -407,7 +405,7 @@ def run_drive(
     ensemble = StateEnsemble(
         chain_mean=chain_mean,
         sample_inputs=s_values[config.n_washout + config.n_train :][:n_cap].copy(),
-        sample_packed=sample_packed,
+        sample_rest=sample_rest,
         max_trace_drift=max_drift,
         max_hermiticity_residue=max_herm,
     )

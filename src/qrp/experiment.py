@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable
@@ -330,7 +330,9 @@ def run_experiment(
 
     model = spectral_model(config.model)
     inputs = generate_inputs(config.drive.seed, config.drive.n_total)
-    record, ensemble = run_drive(config.drive, model, list(config.readouts), inputs)
+    # Snapshots feed TMI only, so a run without TMI tasks keeps none.
+    drive = config.drive if config.tasks.tmi else replace(config.drive, tmi_cap=0)
+    record, ensemble = run_drive(drive, model, list(config.readouts), inputs)
 
     outputs: list[str] = []
     results: dict = {}

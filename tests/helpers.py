@@ -11,7 +11,7 @@ import scipy.linalg
 from qrp.driver import StateEnsemble
 from qrp.hamiltonian import SpectralModel, chain_propagator, ground_state
 from qrp.pauli import PauliString, build_dense
-from qrp.states import input_state, n_qubits_of, pack_hermitian, partial_trace
+from qrp.states import input_state, n_qubits_of, partial_trace
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -120,7 +120,7 @@ def register_ensemble(
     return StateEnsemble(
         chain_mean=trace_out_qubit0(mean_state),
         sample_inputs=sample_inputs,
-        sample_packed=pack_hermitian(sample_rest),
+        sample_rest=sample_rest,
     )
 
 

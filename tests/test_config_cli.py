@@ -14,7 +14,7 @@ from qrp.config import (
     build_config,
     parse_config,
 )
-from qrp.driver import ReadoutRecord, generate_inputs
+from qrp.driver import ReadoutRecord, generate_inputs, run_drive
 from qrp.experiment import (
     PRESET_NAMES,
     _write_record_csv,
@@ -181,6 +181,23 @@ class TestRunExperiment:
         ):
             assert (out / name).exists(), name
 
+    @pytest.mark.parametrize("tmi, kept", [([], 0), ([{"a": [0], "b": [2], "c": [3]}], 2)])
+    def test_snapshots_kept_only_for_tmi(self, tmp_path, monkeypatch, tmi, kept):
+        import qrp.experiment
+
+        ensembles = []
+
+        def spy(*args):
+            record, ensemble = run_drive(*args)
+            ensembles.append(ensemble)
+            return record, ensemble
+
+        monkeypatch.setattr(qrp.experiment, "run_drive", spy)
+        config = build_config({"n": 3}, TINY_DRIVE, ["z1"], {"stm_delays": [0], "tmi": tmi})
+        manifest = json.loads(run_experiment(config, tmp_path).read_text())
+        assert ensembles[0].n_samples == kept
+        assert manifest["config"]["drive"]["tmi_cap"] == TINY_DRIVE["tmi_cap"]
+
     def test_curve_row_count_matches_grid(self, tiny_run):
         out, _ = tiny_run
         lines = (out / "stm_z1_d0.csv").read_text().strip().split("\n")
@@ -303,6 +320,19 @@ class TestRunPreset:
             "tmi_0_2_3.csv",
         ):
             assert (out / name).exists(), name
+
+    def test_appc_smoke(self, tmp_path):
+        # appC records no read-outs; 24 recorded intervals on 3 grid times
+        # are enough for the operation counts to favour the Heisenberg order.
+        drive = dict(TINY_DRIVE, train=12, test=12)
+        manifests = run_preset(
+            "appC", overrides={"n": 3, "drive": drive}, out_dir=tmp_path / "appC"
+        )
+        assert len(manifests) == 3
+        for manifest_path in manifests:
+            out = manifest_path.parent
+            for name in ("otoc_x2x3_z1.csv", "otoc_z2z3_z1.csv", "otoc_x2_x3.csv"):
+                assert (out / name).exists(), name
 
     def test_fig4_deviation_outputs(self, tmp_path):
         manifests = run_preset(

@@ -28,7 +28,7 @@ from qrp.diagnostics import (
 from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
 from qrp.hamiltonian import CHAOTIC, IsingParams, spectral_model
 from qrp.pauli import PauliString, build_dense
-from qrp.states import input_state, pack_hermitian, partial_trace
+from qrp.states import input_state, partial_trace
 
 
 def make_register_mean(s_vals, rests):
@@ -436,7 +436,7 @@ class TestMemoryBound:
         ensemble = StateEnsemble(
             chain_mean=random_density(rng, model.dim),
             sample_inputs=np.array([0.3]),
-            sample_packed=pack_hermitian(random_density(rng, model.dim // 2)[None]),
+            sample_rest=random_density(rng, model.dim // 2)[None],
         )
         return model, ensemble, DriveConfig().grid
 

@@ -248,6 +248,20 @@ class TestRunDrive:
                 qrp.driver._state_health(rest, k, cfg)
         assert qrp.driver._state_health(good, 0, cfg) == (0.0, 0.0)
 
+    def test_no_readouts(self):
+        # 20 stored rests against 2 grid times: with no operators the
+        # operation counts would favour the Heisenberg order, so the drive
+        # must not read out at all.
+        model = spectral_model(IsingParams(n=2, h_x=-0.5, h_z=1.05))
+        cfg = small_config(n_grid=2, n_train=10, n_test=10)
+        inputs = generate_inputs(cfg.seed, cfg.n_total)
+        assert qrp.driver._heisenberg_is_cheaper(20, model.dim, [], cfg.n_grid)
+        record, ensemble = run_drive(cfg, model, [], inputs)
+        assert record.values.shape == (0, 20, 2)
+        _, with_readout = run_drive(cfg, model, ["z1"], inputs)
+        np.testing.assert_array_equal(ensemble.chain_mean, with_readout.chain_mean)
+        np.testing.assert_array_equal(ensemble.sample_rest, with_readout.sample_rest)
+
     def test_input_length_validated(self):
         params = IsingParams(n=2, h_x=0.0, h_z=1.0)
         model = spectral_model(params)
