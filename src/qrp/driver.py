@@ -17,7 +17,7 @@ Every read-out at every grid time is a fixed linear functional of
 ``rest``, so the loop only stores each recorded ``rest``, packed as h**2
 real numbers (``states.pack_hermitian``), in chunks of at most
 ``CHUNK_BYTES``.  ``_Readout`` evaluates a chunk in whichever of two orders
-needs fewer multiply-adds: against packed Heisenberg blocks of the
+its operation counts favour: against packed Heisenberg blocks of the
 operators, one real GEMM per grid time, or interval by interval in the
 Hamiltonian eigenbasis, where evolution to a grid time is a diagonal phase.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import SpectralModel, chain_propagator
-from .pauli import PauliString, as_pauli_string, signed_permutation
+from .pauli import PauliString, as_pauli_string, minus_eigenspace
 from .states import pack_hermitian, unpack_hermitian
 
 # Stored rests per read-out chunk, in bytes.  A chunk rebuilds the Heisenberg
@@ -168,14 +168,14 @@ def _heisenberg_is_cheaper(rows: int, dim: int, axes: list[str], n_grid: int) ->
     """Whether the Heisenberg order reads ``rows`` stored rests out with
     fewer real multiply-adds than the eigenbasis order.
 
-    Heisenberg: U(tau) per grid time (dim**3 complex), an h x dim x h product
+    Heisenberg: U(tau) per grid time (dim**3 complex), an h x h x h product
     per block and grid time, then h**2 real per block, grid time and row.
     Eigenbasis: per row, the weighted states in the eigenbasis (dim**3 / 4
     plus dim**3 for axes i/z and dim**3 / 2 for x/y), then dim**2 complex
     per operator and grid time.
     """
     n_blocks = sum(2 if axis in "iz" else 1 for axis in axes)
-    heisenberg = 4 * n_grid * dim**3 * (1 + n_blocks / 4)
+    heisenberg = 4 * n_grid * dim**3 * (1 + n_blocks / 8)
     heisenberg += rows * n_grid * n_blocks * dim**2 / 4
     state = dim**3 / 4
     state += dim**3 if {"i", "z"} & set(axes) else 0
@@ -195,13 +195,19 @@ class _Readout:
         a = z:  s Tr[rest X00] - (1 - s) Tr[rest X11]
         a = x:  c Tr[rest (X01 + X01^dag)]
         a = y:  c Tr[rest i (X01^dag - X01)],     c = sqrt(s (1 - s)).
+
+    The Heisenberg order writes O = I - 2 B B^dag with B a basis of the -1
+    eigenspace of O (``pauli.minus_eigenspace``) and D = B^dag U(tau), an
+    h x 2h matrix with column halves D_0, D_1.  As U(tau) is unitary,
+    X_ab = delta_ab I - 2 D_a^dag D_b: the identity part contributes
+    Tr[rest], and only the h x h x h products G_ab = D_a^dag D_b are packed.
     """
 
     def __init__(self, model: SpectralModel, split: list[tuple[str, PauliString]], grid):
         self.model = model
         self.grid = grid
         self.axes = [axis0 for axis0, _ in split]
-        self.gathers = [signed_permutation(chain, model.n) for _, chain in split]
+        self.spaces = [minus_eigenspace(chain, model.n) for _, chain in split]
         self.ops_eig_t: list[np.ndarray] | None = None
         # Column j of the per-row weights goes with block j; ``starts`` marks
         # the first block of each operator.
@@ -217,8 +223,11 @@ class _Readout:
         return self._eigenbasis(packed, s)
 
     def _block_weights(self, s: np.ndarray) -> np.ndarray:
-        c = np.sqrt(s * (1.0 - s))
-        columns = {"i0": s, "i1": 1.0 - s, "z0": s, "z1": s - 1.0, "x": c, "y": c}
+        """Per-row weights of the packed G blocks: those of the X blocks
+        above, times the -2 of X_ab = delta_ab I - 2 G_ab."""
+        c = -2.0 * np.sqrt(s * (1.0 - s))
+        columns = {"i0": -2.0 * s, "i1": 2.0 * s - 2.0, "z0": -2.0 * s,
+                   "z1": 2.0 - 2.0 * s, "x": c, "y": c}
         return np.stack([columns[kind] for kind in self.kinds], axis=1)
 
     def _heisenberg(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -227,29 +236,38 @@ class _Readout:
         vecs = model.eigenvectors
         vecs_h = vecs.conj().T
         weights = self._block_weights(s)
+        # Tr[rest] times the identity parts: s + (1 - s) for axis i,
+        # s - (1 - s) for z, none for x and y.
+        traces = packed[:, :h].sum(axis=1)
+        parts = {"i": traces, "z": (2.0 * s - 1.0) * traces, "x": 0.0 * s, "y": 0.0 * s}
+        identity = np.stack([parts[axis0] for axis0 in self.axes], axis=1)
         out = np.empty((len(self.axes), len(s), len(self.grid)))
         blocks = np.empty((len(self.kinds), h, h), dtype=complex)
+        heis = np.empty((len(self.kinds), h * h))
+        minus = np.empty((2, h, model.dim), dtype=complex)
         for m, tau in enumerate(self.grid):
             u = (vecs * np.exp(-1j * model.eigenvalues * tau)) @ vecs_h
-            u0_h, u1_h = u[:, :h].conj().T, u[:, h:].conj().T
             j = 0
-            for axis0, (perm, sign) in zip(self.axes, self.gathers):
-                moved = u[perm]
-                moved *= sign[:, None]  # O U(tau)
+            for axis0, space in zip(self.axes, self.spaces):
+                d = minus_rows(u, space, minus)
+                # conj(D) goes where the partner rows were
+                d_bar = np.conjugate(d, out=minus[1, : len(d)])
                 if axis0 in "iz":
-                    np.matmul(u0_h, moved[:, :h], out=blocks[j])
-                    np.matmul(u1_h, moved[:, h:], out=blocks[j + 1])
+                    np.matmul(d_bar[:, :h].T, d[:, :h], out=blocks[j])
+                    np.matmul(d_bar[:, h:].T, d[:, h:], out=blocks[j + 1])
                     j += 2
                     continue
-                x01 = u0_h @ moved[:, h:]
+                g01 = np.matmul(d_bar[:, :h].T, d[:, h:], out=blocks[j])
                 if axis0 == "x":
-                    blocks[j] = x01 + x01.conj().T
+                    g01 += g01.conj().T
                 else:
-                    blocks[j] = 1j * (x01.conj().T - x01)
+                    np.subtract(g01.conj().T, g01, out=g01)
+                    g01 *= 1j
                 j += 1
-            heis = pack_hermitian(blocks)
+            pack_hermitian(blocks, out=heis)
             heis[:, h:] *= 2.0
-            out[:, :, m] = np.add.reduceat((packed @ heis.T) * weights, self.starts, axis=1).T
+            values = np.add.reduceat((packed @ heis.T) * weights, self.starts, axis=1)
+            out[:, :, m] = (values + identity).T
         return out
 
     def _eigenbasis(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -259,11 +277,15 @@ class _Readout:
         v0, v1 = vecs[:h], vecs[h:]
         v0_h, v1_h = v0.conj().T, v1.conj().T
         if self.ops_eig_t is None:
-            # Transposed so an elementwise product implements Tr[state * op].
-            self.ops_eig_t = [
-                (vecs.conj().T @ (sign[:, None] * vecs[perm])).T
-                for perm, sign in self.gathers
-            ]
+            # V^dag O V = I - 2 W^dag W with W = B^dag V, transposed so an
+            # elementwise product implements Tr[state * op].  Built
+            # C-contiguous: with a transposed view of V^dag O V, a row took
+            # 59 ms instead of 45 ms at N = 9 (appA read-outs, 2 cores).
+            minus = np.empty((2, h, model.dim), dtype=complex)
+            self.ops_eig_t = []
+            for space in self.spaces:
+                w = minus_rows(vecs, space, minus)
+                self.ops_eig_t.append(np.eye(model.dim) - 2.0 * (w.T @ w.conj()))
         phases = np.exp(-1j * np.outer(self.grid, model.eigenvalues))  # (n_grid, dim)
         phases_ct = phases.conj().T
         axes = set(self.axes)
@@ -285,12 +307,45 @@ class _Readout:
         return out
 
 
-def _state_health(rest: np.ndarray, k: int, config: DriveConfig) -> tuple[float, float]:
+def minus_rows(u: np.ndarray, space, out: np.ndarray) -> np.ndarray:
+    """D = B^dag u for ``space = pauli.minus_eigenspace(...)``.
+
+    ``out`` holds two h x 2h buffers: D is written into the first rows of
+    ``out[0]`` (one row per basis vector of B), and ``out[1]`` holds the
+    partner rows of a non-diagonal string.
+    """
+    rows, partners, phases = space
+    d, moved = out[0, : len(rows)], out[1, : len(rows)]
+    np.take(u, rows, axis=0, out=d, mode="clip")
+    if partners is not None:
+        np.take(u, partners, axis=0, out=moved, mode="clip")
+        moved *= phases[:, None]
+        d -= moved
+        d *= np.sqrt(0.5)
+    return d
+
+
+def _state_health(
+    rest: np.ndarray, k: int, config: DriveConfig, scratch: np.ndarray | None = None
+) -> tuple[float, float]:
     """Trace drift and Hermiticity residue of the running state at interval
     ``k``; raises ``DriveError`` naming the interval, its phase and the
-    quantity when either exceeds its tolerance or is not finite."""
+    quantity when either exceeds its tolerance or is not finite.
+
+    ``scratch``, at least 3 h**2 contiguous float64 entries for an h x h
+    ``rest``, holds the residue's intermediates; it is allocated when not
+    given.
+    """
+    h = len(rest)
+    if scratch is None:
+        scratch = np.empty(3 * h * h)
+    skew = scratch[: 2 * h * h].view(complex).reshape(h, h)
+    size = scratch[2 * h * h : 3 * h * h].reshape(h, h)
+    np.conjugate(rest.T, out=skew)
+    np.subtract(rest, skew, out=skew)
+    np.abs(skew, out=size)
     drift = abs(float(np.trace(rest).real) - 1.0)
-    herm = float(np.max(np.abs(rest - rest.conj().T)))
+    herm = float(size.max())
     for name, value, tol in (
         ("trace drift", drift, TRACE_DRIFT_TOL),
         ("Hermiticity residue", herm, HERMITICITY_TOL),
@@ -344,10 +399,12 @@ def run_drive(
     g = model.eigenvectors[:, 0]
     rest = np.outer(g[:h], g[:h].conj()) + np.outer(g[h:], g[h:].conj())
     # Buffers of one step, reused: the blocks K_j rest, the same side by
-    # side, and the next rest.
+    # side, and the next rest.  Until the Kraus products fill it, ``moved``
+    # holds the health check's intermediates.
     moved = np.empty((4 * h, h), dtype=complex)
     side = np.empty((h, 4 * h), dtype=complex)
     spare = np.empty_like(rest)
+    scratch = moved.reshape(-1).view(np.float64)
 
     n_rows = config.n_train + config.n_test
     record_values = np.zeros((len(parsed), n_rows, config.n_grid))
@@ -363,14 +420,13 @@ def run_drive(
 
     for k in range(config.n_total):
         s = float(s_values[k])
-        drift, herm = _state_health(rest, k, config)
+        drift, herm = _state_health(rest, k, config, scratch)
         max_drift, max_herm = max(max_drift, drift), max(max_herm, herm)
 
         row = k - config.n_washout
         if row >= 0:
             slot = row % len(chunk)
-            packed = chunk[slot]
-            packed[:] = pack_hermitian(rest)
+            packed = pack_hermitian(rest, out=chunk[slot])
             spot = row - config.n_train
             if spot >= 0:
                 mean_packed[0] += s * packed

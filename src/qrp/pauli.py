@@ -145,3 +145,24 @@ def signed_permutation(p: PauliString, register_size: int) -> tuple[np.ndarray, 
         elif axis == "z":
             sign *= parity
     return perm, sign
+
+
+def minus_eigenspace(
+    p: PauliString, register_size: int
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Orthonormal basis B of the -1 eigenspace of ``p``, as row operations.
+
+    Returns ``(rows, partners, phases)`` such that ``B^dag @ a`` is
+    ``a[rows]`` for a diagonal ``p`` (``partners`` and ``phases`` are None)
+    and ``(a[rows] - phases[:, None] * a[partners]) / sqrt(2)`` otherwise,
+    with one row per pair {r, perm[r]} of ``signed_permutation``.  Any
+    non-identity string has ``2**register_size / 2`` such rows; the identity
+    has none.  Since ``p = I - 2 B B^dag``, products with ``p`` reduce to
+    products with ``B^dag``, of half the size.
+    """
+    perm, sign = signed_permutation(p, register_size)
+    index = np.arange(len(perm))
+    if np.array_equal(perm, index):
+        return np.flatnonzero(sign.real < 0), None, None
+    rows = np.flatnonzero(index < perm)
+    return rows, perm[rows], sign[rows]

@@ -18,49 +18,65 @@ VAR_FLOOR = 1e-14
 SVD_RCOND = 1e-12
 
 
-def train_weights(x_train: np.ndarray, y_train: np.ndarray) -> tuple[float, float]:
+def _sample_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two arrays of samples, each 1-D (n,) or columns (n, G), as contiguous
+    rows (n,) or (G, n), so that every sum runs along a contiguous axis as it
+    does for a single sequence."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2) or len(a) != len(b):
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    if a.ndim == b.ndim == 2 and a.shape != b.shape:
+        raise ValueError(f"column mismatch: {a.shape} vs {b.shape}")
+    if len(a) < 2:
+        raise ValueError("need at least 2 samples")
+    return np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+
+
+def _scalar_or_array(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def train_weights(
+    x_train: np.ndarray, y_train: np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Minimum-norm least-squares fit of ``y = w_o * x + w_c``.
 
-    Solved by SVD with singular values below ``SVD_RCOND`` times the largest
-    treated as zero, so rank-deficient designs (constant read-outs) return the
-    minimum-norm solution instead of blowing up.
+    Solved by SVD with singular values at or below ``SVD_RCOND`` times the
+    largest treated as zero, so rank-deficient designs (constant read-outs)
+    return the minimum-norm solution instead of blowing up.  ``x`` and ``y``
+    are each 1-D (n,) or columns (n, G); with columns, each is fitted on its
+    own in one batched SVD and ``(w_o, w_c)`` are arrays of length G.
     """
-    x_train = np.asarray(x_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=float)
-    if x_train.shape != y_train.shape or x_train.ndim != 1:
-        raise ValueError(
-            f"x and y must be 1D of equal length, got {x_train.shape} and {y_train.shape}"
-        )
-    if len(x_train) < 2:
-        raise ValueError("need at least 2 training samples")
-    design = np.column_stack([x_train, np.ones_like(x_train)])
-    solution, _, _, _ = np.linalg.lstsq(design, y_train, rcond=SVD_RCOND)
-    return float(solution[0]), float(solution[1])
+    x, y = _sample_rows(x_train, y_train)
+    # (..., n, 2) designs, each stored column by column as LAPACK takes it
+    design = np.stack([x, np.ones_like(x)], axis=-2).swapaxes(-1, -2)
+    u, sv, vh = np.linalg.svd(design, full_matrices=False)
+    kept = sv > SVD_RCOND * sv[..., :1]
+    projected = (y[..., None, :] @ u)[..., 0, :]
+    scaled = np.divide(projected, sv, out=np.zeros_like(projected), where=kept)
+    solution = np.einsum("...kj,...k->...j", vh, scaled)
+    return _scalar_or_array(solution[..., 0]), _scalar_or_array(solution[..., 1])
 
 
-def r2_score(y_pred: np.ndarray, y_target: np.ndarray) -> float:
+def r2_score(y_pred: np.ndarray, y_target: np.ndarray) -> float | np.ndarray:
     """Squared correlation cov^2 / (var * var) with population (1/n) moments.
 
     Returns 0 when either sequence is (numerically) constant: a constant
     output carries no information about the target.  Rounding that lifts an
-    exactly affine pair above 1 is clamped to 1.
+    exactly affine pair above 1 is clamped to 1.  Either argument may be
+    columns (n, G); then each column is scored and the result is an array.
     """
-    y_pred = np.asarray(y_pred, dtype=float)
-    y_target = np.asarray(y_target, dtype=float)
-    if y_pred.shape != y_target.shape or y_pred.ndim != 1:
-        raise ValueError(
-            f"length mismatch: {y_pred.shape} vs {y_target.shape}"
-        )
-    if len(y_pred) < 2:
-        raise ValueError("need at least 2 samples")
-    dp = y_pred - y_pred.mean()
-    dt = y_target - y_target.mean()
-    var_p = float(np.mean(dp * dp))
-    var_t = float(np.mean(dt * dt))
-    if var_p < VAR_FLOOR or var_t < VAR_FLOOR:
-        return 0.0
-    cov = float(np.mean(dp * dt))
-    return min(cov * cov / (var_p * var_t), 1.0)
+    pred, target = _sample_rows(y_pred, y_target)
+    dp = pred - pred.mean(axis=-1, keepdims=True)
+    dt = target - target.mean(axis=-1, keepdims=True)
+    var_p = np.mean(dp * dp, axis=-1)
+    var_t = np.mean(dt * dt, axis=-1)
+    cov = np.mean(dp * dt, axis=-1)
+    constant = (var_p < VAR_FLOOR) | (var_t < VAR_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.minimum(cov * cov / (var_p * var_t), 1.0)
+    return _scalar_or_array(np.where(constant, 0.0, r2))
 
 
 @dataclass
@@ -105,14 +121,8 @@ def stm_curve(
     y_train = s[k_train - delay]
     y_test = s[k_test - delay]
 
-    n_grid = len(record.grid)
-    r2 = np.zeros(n_grid)
-    w_o = np.zeros(n_grid)
-    w_c = np.zeros(n_grid)
-    for m in range(n_grid):
-        w_o[m], w_c[m] = train_weights(x_train[:, m], y_train)
-        y_pred = w_o[m] * x_test[:, m] + w_c[m]
-        r2[m] = r2_score(y_pred, y_test)
+    w_o, w_c = train_weights(x_train, y_train)
+    r2 = r2_score(w_o * x_test + w_c, y_test)
     return PerformanceCurve(
         operator=operator,
         delay=delay,

@@ -85,19 +85,21 @@ def _packing_index(h: int) -> np.ndarray:
     return index
 
 
-def pack_hermitian(mats: np.ndarray) -> np.ndarray:
+def pack_hermitian(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Hermitian h x h matrices as h**2 real numbers each.
 
     The packed form is the real diagonal, then the real and the imaginary
     parts of the strict upper triangle; only the upper triangle is read.
     For Hermitian A and B, Tr[A B] is the dot product of pack(A) with
     pack(B) once the off-diagonal entries of pack(B) are doubled.  Leading
-    axes are a stack.
+    axes are a stack.  ``out``, if given, receives the packed numbers.
     """
     mats = np.ascontiguousarray(mats, dtype=complex)
     h = mats.shape[-1]
     flat = mats.view(np.float64).reshape(mats.shape[:-2] + (2 * h * h,))
-    return flat[..., _packing_index(h)]
+    # The index is in range by construction; "clip" lets ``take`` write
+    # straight into ``out`` instead of through a buffer.
+    return np.take(flat, _packing_index(h), axis=-1, out=out, mode="clip")
 
 
 def unpack_hermitian(packed: np.ndarray) -> np.ndarray:

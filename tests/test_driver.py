@@ -6,11 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qrp.driver
-from helpers import expm_drive, initial_state, inject_input, propagator, trace_out_qubit0
+from helpers import (
+    expm_drive,
+    initial_state,
+    inject_input,
+    propagator,
+    random_hermitian,
+    trace_out_qubit0,
+)
 from qrp.driver import (
     DriveConfig,
     DriveError,
@@ -18,7 +25,7 @@ from qrp.driver import (
     run_drive,
 )
 from qrp.hamiltonian import IsingParams, spectral_model
-from qrp.pauli import PauliString, build_dense, parse_operator_label
+from qrp.pauli import PauliString, build_dense, minus_eigenspace, parse_operator_label
 from qrp.states import partial_trace
 
 ORDERS = {"heisenberg": True, "eigenbasis": False}
@@ -248,6 +255,17 @@ class TestRunDrive:
                 qrp.driver._state_health(rest, k, cfg)
         assert qrp.driver._state_health(good, 0, cfg) == (0.0, 0.0)
 
+    def test_state_health_with_scratch_buffer(self):
+        cfg = small_config()
+        rest = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
+        rest[0, 3] = 1e-9j
+        scratch = np.full(3 * 16, np.nan)
+        for k in (0, 5, 12):
+            assert qrp.driver._state_health(rest, k, cfg, scratch) == qrp.driver._state_health(
+                rest, k, cfg
+            )
+        assert qrp.driver._state_health(rest, 0, cfg, scratch)[1] == 1e-9
+
     def test_no_readouts(self):
         # 20 stored rests against 2 grid times: with no operators the
         # operation counts would favour the Heisenberg order, so the drive
@@ -330,6 +348,38 @@ class TestAgainstExpmDrive:
             assert ensemble.n_samples == len(want_rests)
             if want_rests:
                 assert np.max(np.abs(ensemble.sample_rest - np.array(want_rests))) < 1e-10
+
+
+class TestMinusRows:
+    """D = B^dag U(tau), with B a basis of the -1 eigenspace of the chain
+    part O, gives the Heisenberg blocks U_a^dag O U_b = delta_ab - 2 D_a^dag D_b
+    for diagonal strings, strings with x/y factors and the identity."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        axes=st.lists(st.sampled_from("ixyz"), min_size=1, max_size=5),
+        tau=st.floats(0.0, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(axes=list("ii"), tau=1.3, seed=1)
+    @example(axes=list("zzi"), tau=0.7, seed=2)
+    @example(axes=list("xyz"), tau=2.9, seed=3)
+    def test_blocks_from_minus_rows(self, axes, tau, seed):
+        n = len(axes)
+        dim, h = 2**n, 2 ** (n - 1)
+        chain = PauliString.from_terms({q: a for q, a in enumerate(axes) if a != "i"})
+        energies, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), dim))
+        u = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
+        d = qrp.driver.minus_rows(
+            u, minus_eigenspace(chain, n), np.full((2, h, dim), np.nan, dtype=complex)
+        )
+        moved = u.conj().T @ (np.eye(dim) - build_dense(chain, n)) @ u / 2
+        for a in (0, 1):
+            block = slice(a * h, (a + 1) * h)
+            got = d[:, block].conj().T @ d[:, block]
+            assert np.max(np.abs(got - moved[block, block]), initial=0.0) < 1e-12
+        got = d[:, :h].conj().T @ d[:, h:]
+        assert np.max(np.abs(got - moved[:h, h:]), initial=0.0) < 1e-12
 
 
 class TestReadoutOrderChoice:

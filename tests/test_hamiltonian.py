@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import evolve, propagator, random_density, random_hermitian
+from helpers import evolve, propagator, random_density, random_hermitian, register_hamiltonian
 from qrp.hamiltonian import (
     CHAOTIC,
+    FREE_FERMION,
+    PERTURBED,
     IsingParams,
     build_hamiltonian,
     chain_propagator,
@@ -37,6 +39,13 @@ class TestBuildHamiltonian:
             dtype=complex,
         )
         np.testing.assert_allclose(h, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("fields", [FREE_FERMION, CHAOTIC, PERTURBED])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bit_identical_to_kronecker_sum(self, n, fields):
+        # the chain block of the full-register oracle, qubit 0 in |0>
+        want = register_hamiltonian(n, *fields)[: 2**n, : 2**n]
+        assert np.array_equal(build_hamiltonian(params_for(n, fields)), want)
 
     def test_chaotic_chain_traceless_hermitian(self):
         h = build_hamiltonian(params_for(7, CHAOTIC))

@@ -7,6 +7,7 @@ from qrp.pauli import (
     OperatorLabelError,
     PauliString,
     build_dense,
+    minus_eigenspace,
     parse_operator_label,
     signed_permutation,
 )
@@ -114,3 +115,29 @@ class TestSignedPermutation:
     def test_site_outside_register(self):
         with pytest.raises(ValueError, match="outside"):
             signed_permutation(PauliString.from_terms({3: "x"}), 3)
+
+
+class TestMinusEigenspace:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.dictionaries(st.integers(0, n - 1), st.sampled_from("xyz"), max_size=n),
+            )
+        )
+    )
+    def test_projector_complements_operator(self, case):
+        # B B^dag = (I - P) / 2 with B^dag B = I, so P = I - 2 B B^dag
+        n, terms = case
+        p = PauliString.from_terms(terms)
+        rows, partners, phases = minus_eigenspace(p, n)
+        eye = np.eye(2**n, dtype=complex)
+        basis_h = eye[rows]
+        if partners is not None:
+            basis_h = (basis_h - phases[:, None] * eye[partners]) / np.sqrt(2)
+        assert len(rows) == (2**n // 2 if terms else 0)
+        dense = build_dense(p, n)
+        np.testing.assert_allclose(basis_h @ basis_h.conj().T, np.eye(len(rows)), atol=1e-14)
+        np.testing.assert_allclose(
+            eye - 2 * basis_h.conj().T @ basis_h, dense, atol=1e-14
+        )

@@ -96,6 +96,52 @@ class TestR2Score:
         assert 1.0 - 1e-12 <= r2_score(2 * s - 1, s) <= 1.0
 
 
+def awkward_columns(rng, n):
+    """Columns (n, 8) of a read-out over the grid: ordinary scales, plus the
+    constant, zero and 1e-17-scale columns a drive produces at tau = 0 or
+    under a symmetry."""
+    x = rng.normal(size=(n, 8)) * np.array([1e-3, 1.0, 50.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    x[:, 3] = 0.7
+    x[:, 4] = 0.0
+    x[:, 5] = rng.normal(size=n) * 1e-17
+    x[:, 6] = 0.3 + rng.normal(size=n) * 1e-17
+    return x
+
+
+class TestColumns:
+    """Columns (n, G) are fitted and scored as a per-column loop would."""
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 1000])
+    def test_weights_match_per_column_loop(self, n):
+        rng = np.random.default_rng(n)
+        x, y = awkward_columns(rng, n), rng.random(n)
+        w_o, w_c = train_weights(x, y)
+        loop = np.array([train_weights(x[:, m], y) for m in range(x.shape[1])])
+        assert isinstance(loop[0, 0], float)
+        np.testing.assert_allclose(w_o, loop[:, 0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w_c, loop[:, 1], rtol=1e-12, atol=1e-12)
+        for m in range(x.shape[1]):
+            np.testing.assert_allclose(loop[m], pinv_oracle(x[:, m], y), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 1000])
+    def test_scores_match_per_column_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        pred, target = awkward_columns(rng, n), rng.random(n)
+        r2 = r2_score(pred, target)
+        loop = [r2_score(pred[:, m], target) for m in range(pred.shape[1])]
+        assert all(isinstance(v, float) for v in loop)
+        np.testing.assert_allclose(r2, loop, rtol=1e-12, atol=1e-12)
+        assert np.all(r2[3:6] == 0.0)
+        # a target given per column scores the same
+        np.testing.assert_allclose(r2_score(pred, np.tile(target[:, None], 8)), r2, atol=1e-12)
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError):
+            train_weights(np.zeros((5, 3)), np.zeros(4))
+        with pytest.raises(ValueError):
+            r2_score(np.zeros((5, 3)), np.zeros((5, 2)))
+
+
 @pytest.fixture(scope="module")
 def drive():
     params = IsingParams(n=2, h_x=-0.5, h_z=1.05)
@@ -112,6 +158,18 @@ class TestStmCurve:
         assert abs(curve.r2[0] - 1.0) < 1e-6
         assert abs(curve.w_o[0] - 0.5) < 1e-6
         assert abs(curve.w_c[0] - 0.5) < 1e-6
+
+    def test_matches_per_grid_time_fits(self, drive):
+        curve = stm_curve(drive, "z2", 1)
+        s = drive.inputs.values
+        k = drive.first_step + np.arange(drive.n_train + drive.n_test)
+        y = s[k - 1]
+        x_train, x_test = drive.train_values("z2"), drive.test_values("z2")
+        for m in range(len(drive.grid)):
+            w_o, w_c = train_weights(x_train[:, m], y[: drive.n_train])
+            r2 = r2_score(w_o * x_test[:, m] + w_c, y[drive.n_train :])
+            assert abs(curve.w_o[m] - w_o) <= 1e-12 and abs(curve.w_c[m] - w_c) <= 1e-12
+            assert abs(curve.r2[m] - r2) <= 1e-12
 
     def test_delayed_targets_use_washout_inputs(self, drive):
         curve = stm_curve(drive, "z1", 2)

@@ -209,6 +209,14 @@ class TestPackHermitian:
         want = np.einsum("kab,ba->k", stack, other).real
         np.testing.assert_allclose(packed @ weights, want, atol=1e-12)
 
+    def test_packs_into_out(self):
+        rng = np.random.default_rng(9)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(2)])
+        out = np.full((3, 16), np.nan)
+        assert pack_hermitian(stack, out=out[1:]) is not None
+        np.testing.assert_array_equal(out[1:], pack_hermitian(stack))
+        assert np.all(np.isnan(out[0]))
+
     def test_reads_upper_triangle_only(self):
         mat = np.array([[1.0, 2.0 + 3.0j], [99.0, 4.0]])
         np.testing.assert_array_equal(pack_hermitian(mat), [1.0, 4.0, 2.0, 3.0])
