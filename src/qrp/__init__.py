@@ -42,7 +42,6 @@ from .experiment import (
     plan_runs,
     replay_manifest,
     run_experiment,
-    run_preset,
 )
 from .hamiltonian import (
     CHAOTIC,
@@ -122,7 +121,6 @@ __all__ = [
     "replay_manifest",
     "run_drive",
     "run_experiment",
-    "run_preset",
     "spectral_model",
     "stm_curve",
     "tmi",

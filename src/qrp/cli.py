@@ -37,10 +37,8 @@ def main() -> None:
 @click.option("--tmi-cap", type=int, default=None, help="max per-step entropy snapshots")
 def run(preset, config_path, out_dir, seed, n, grid, tmi_cap) -> None:
     """Run a preset or a custom configuration and write CSVs + manifests."""
-    doc = None
     try:
-        if config_path is not None:
-            doc = parse_config(config_path)
+        doc = parse_config(config_path) if config_path is not None else None
         if preset is None and doc is None:
             raise ConfigError(
                 f"nothing to run: give --preset (one of {', '.join(PRESET_NAMES)}) "
@@ -54,11 +52,11 @@ def run(preset, config_path, out_dir, seed, n, grid, tmi_cap) -> None:
 
     name = preset or (doc.preset if doc else None)
     if out_dir is None:
-        out_dir = (doc.out if doc and doc.out else None) or (name or "run")
+        out_dir = (doc.out if doc else None) or name or "run"
     out_dir = Path(out_dir)
     try:
         for plan in plans:
-            run_dir = out_dir / plan.rel_dir if plan.rel_dir else out_dir
+            run_dir = out_dir / plan.rel_dir
             target = f" [{plan.rel_dir}]" if plan.rel_dir else ""
             click.echo(f"running{target} -> {run_dir}")
             manifest = run_experiment(

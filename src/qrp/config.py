@@ -4,13 +4,19 @@ A config file holds an optional ``preset`` name plus four optional blocks
 (``model``, ``drive``, ``readouts``, ``tasks``) that refine the preset (or
 the library defaults when no preset is given).  Unknown keys are fatal so a
 typo can never silently change the physics.
+
+``SCHEMA`` is the one description of the ``model``, ``drive`` and ``tasks``
+blocks: per block the dataclass it builds and an ordered table of fields.
+Parsing, key checks, defaults (the dataclass defaults) and the manifest's
+``config`` blocks all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import yaml
 
@@ -22,75 +28,6 @@ from .pauli import OperatorLabelError, parse_operator_label
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
-
-
-MODEL_KEYS = ("n", "j", "h_x", "h_z")
-DRIVE_KEYS = ("t_in", "n_grid", "washout", "train", "test", "seed", "tmi_cap")
-TASK_KEYS = (
-    "stm_delays",
-    "deviation",
-    "deviation_windows",
-    "correlations",
-    "otoc",
-    "tmi",
-    "record",
-)
-TOP_KEYS = ("preset", "out", "model", "drive", "readouts", "tasks")
-
-DEFAULT_MODEL = {"n": 7, "j": 1.0, "h_x": 0.0, "h_z": 1.0}
-DEFAULT_DRIVE = {
-    "t_in": 5.0,
-    "n_grid": 50,
-    "washout": 1000,
-    "train": 2000,
-    "test": 2000,
-    "seed": 42,
-    "tmi_cap": 200,
-}
-DEFAULT_TASKS = {
-    "stm_delays": [0],
-    "deviation": False,
-    "deviation_windows": 4000,
-    "correlations": [],
-    "otoc": [],
-    "tmi": [],
-    "record": False,
-}
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """Post-processing requested for one run."""
-
-    stm_delays: tuple[int, ...] = (0,)
-    deviation: bool = False
-    deviation_windows: int = 4000
-    correlations: tuple[int, ...] = ()
-    otoc: tuple[OtocSpec, ...] = ()
-    tmi: tuple[TmiSpec, ...] = ()
-    record: bool = False
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved description of a single drive plus its tasks."""
-
-    model: IsingParams
-    drive: DriveConfig
-    readouts: tuple[str, ...]
-    tasks: TaskSpec
-
-
-@dataclass
-class ConfigFile:
-    """Validated but unresolved content of a config file."""
-
-    preset: str | None = None
-    out: str | None = None
-    model: dict = field(default_factory=dict)
-    drive: dict = field(default_factory=dict)
-    readouts: list[str] | None = None
-    tasks: dict = field(default_factory=dict)
 
 
 def _require_mapping(value: Any, where: str) -> dict:
@@ -107,53 +44,20 @@ def _check_keys(block: dict, allowed: tuple[str, ...], where: str) -> None:
             )
 
 
-def parse_config(path: str | Path) -> ConfigFile:
-    """Load and strictly validate a config file (structure only)."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"syntax error in {path}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    raw = _require_mapping(raw, str(path))
-    _check_keys(raw, TOP_KEYS, str(path))
-
-    doc = ConfigFile()
-    if "preset" in raw:
-        if not isinstance(raw["preset"], str):
-            raise ConfigError("preset must be a string")
-        doc.preset = raw["preset"]
-    if "out" in raw:
-        if not isinstance(raw["out"], str):
-            raise ConfigError("out must be a string path")
-        doc.out = raw["out"]
-    if "model" in raw:
-        block = _require_mapping(raw["model"], "model")
-        _check_keys(block, MODEL_KEYS, "model")
-        doc.model = dict(block)
-    if "drive" in raw:
-        block = _require_mapping(raw["drive"], "drive")
-        _check_keys(block, DRIVE_KEYS, "drive")
-        doc.drive = dict(block)
-    if "readouts" in raw:
-        if not isinstance(raw["readouts"], list) or not all(
-            isinstance(x, str) for x in raw["readouts"]
-        ):
-            raise ConfigError("readouts must be a list of operator labels")
-        doc.readouts = list(raw["readouts"])
-    if "tasks" in raw:
-        block = _require_mapping(raw["tasks"], "tasks")
-        _check_keys(block, TASK_KEYS, "tasks")
-        doc.tasks = dict(block)
-    return doc
+def _unique(items: tuple, where: str, key: Callable = lambda x: x) -> tuple:
+    seen = set()
+    for item in items:
+        if key(item) in seen:
+            raise ConfigError(f"duplicate entry {key(item)!r} in {where}")
+        seen.add(key(item))
+    return items
 
 
-def _as_int(value: Any, where: str) -> int:
+def _as_int(value: Any, where: str, low: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{where} must be >= {low}, got {value}")
     return value
 
 
@@ -175,80 +79,174 @@ def _as_int_list(value: Any, where: str) -> tuple[int, ...]:
     return tuple(_as_int(x, where) for x in value)
 
 
-def build_model(block: dict) -> IsingParams:
-    merged = {**DEFAULT_MODEL, **block}
+def _as_int_set(value: Any, where: str) -> tuple[int, ...]:
+    return _unique(_as_int_list(value, where), where)
+
+
+def _as_entries(value: Any, where: str, keys: tuple[str, ...]) -> list[dict]:
+    """A list of mappings, each with exactly ``keys``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    for item in value:
+        _check_keys(_require_mapping(item, f"{where} entry"), keys, f"{where} entry")
+        if set(item) != set(keys):
+            raise ConfigError(f"{where} entries need keys {', '.join(keys)}")
+    return list(value)
+
+
+def _as_otoc(value: Any, where: str) -> tuple[OtocSpec, ...]:
+    entries = _as_entries(value, where, ("w", "v"))
     try:
-        return IsingParams(
-            n=_as_int(merged["n"], "model.n"),
-            j=_as_float(merged["j"], "model.j"),
-            h_x=_as_float(merged["h_x"], "model.h_x"),
-            h_z=_as_float(merged["h_z"], "model.h_z"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+        specs = tuple(OtocSpec.of(item["w"], item["v"]) for item in entries)
+    except OperatorLabelError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return _unique(specs, where, OtocSpec.name)
 
 
-def build_drive(block: dict) -> DriveConfig:
-    merged = {**DEFAULT_DRIVE, **block}
+def _as_tmi(value: Any, where: str) -> tuple[TmiSpec, ...]:
+    entries = _as_entries(value, where, ("a", "b", "c"))
+    subsets = [
+        {k: _as_int_list(item[k], f"{where}.{k}") for k in "abc"} for item in entries
+    ]
     try:
-        return DriveConfig(
-            t_in=_as_float(merged["t_in"], "drive.t_in"),
-            n_grid=_as_int(merged["n_grid"], "drive.n_grid"),
-            n_washout=_as_int(merged["washout"], "drive.washout"),
-            n_train=_as_int(merged["train"], "drive.train"),
-            n_test=_as_int(merged["test"], "drive.test"),
-            seed=_as_int(merged["seed"], "drive.seed"),
-            tmi_cap=_as_int(merged["tmi_cap"], "drive.tmi_cap"),
-        )
+        specs = tuple(TmiSpec(**item) for item in subsets)
     except ValueError as exc:
-        raise ConfigError(f"drive: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+    return _unique(specs, where, TmiSpec.name)
 
 
-def build_tasks(block: dict) -> TaskSpec:
-    merged = {**DEFAULT_TASKS, **block}
-    otoc_specs = []
-    for item in merged["otoc"]:
-        if isinstance(item, OtocSpec):
-            otoc_specs.append(item)
-            continue
-        item = _require_mapping(item, "tasks.otoc entry")
-        _check_keys(item, ("w", "v"), "tasks.otoc entry")
-        if "w" not in item or "v" not in item:
-            raise ConfigError("tasks.otoc entries need both 'w' and 'v'")
-        try:
-            otoc_specs.append(OtocSpec.of(item["w"], item["v"]))
-        except OperatorLabelError as exc:
-            raise ConfigError(f"tasks.otoc: {exc}") from exc
-    tmi_specs = []
-    for item in merged["tmi"]:
-        if isinstance(item, TmiSpec):
-            tmi_specs.append(item)
-            continue
-        item = _require_mapping(item, "tasks.tmi entry")
-        _check_keys(item, ("a", "b", "c"), "tasks.tmi entry")
-        if set(item) != {"a", "b", "c"}:
-            raise ConfigError("tasks.tmi entries need subsets 'a', 'b', 'c'")
-        try:
-            tmi_specs.append(
-                TmiSpec(
-                    a=_as_int_list(item["a"], "tasks.tmi.a"),
-                    b=_as_int_list(item["b"], "tasks.tmi.b"),
-                    c=_as_int_list(item["c"], "tasks.tmi.c"),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"tasks.tmi: {exc}") from exc
-    return TaskSpec(
-        stm_delays=_as_int_list(merged["stm_delays"], "tasks.stm_delays"),
-        deviation=_as_bool(merged["deviation"], "tasks.deviation"),
-        deviation_windows=_as_int(
-            merged["deviation_windows"], "tasks.deviation_windows"
-        ),
-        correlations=_as_int_list(merged["correlations"], "tasks.correlations"),
-        otoc=tuple(otoc_specs),
-        tmi=tuple(tmi_specs),
-        record=_as_bool(merged["record"], "tasks.record"),
-    )
+@dataclass(frozen=True)
+class TaskSpec:
+    """Post-processing requested for one run."""
+
+    stm_delays: tuple[int, ...] = (0,)
+    deviation: bool = False
+    deviation_windows: int = 4000
+    correlations: tuple[int, ...] = ()
+    otoc: tuple[OtocSpec, ...] = ()
+    tmi: tuple[TmiSpec, ...] = ()
+    record: bool = False
+
+
+# block -> (dataclass, fields); a field is (file key, dataclass attribute,
+# coercion of the file value), in file and manifest order.
+SCHEMA: dict[str, tuple[type, tuple]] = {
+    "model": (IsingParams, (
+        ("n", "n", _as_int),
+        ("j", "j", _as_float),
+        ("h_x", "h_x", _as_float),
+        ("h_z", "h_z", _as_float),
+    )),
+    "drive": (DriveConfig, (
+        ("t_in", "t_in", _as_float),
+        ("n_grid", "n_grid", _as_int),
+        ("washout", "n_washout", _as_int),
+        ("train", "n_train", _as_int),
+        ("test", "n_test", _as_int),
+        ("seed", "seed", partial(_as_int, low=0)),
+        ("tmi_cap", "tmi_cap", _as_int),
+    )),
+    "tasks": (TaskSpec, (
+        ("stm_delays", "stm_delays", _as_int_set),
+        ("deviation", "deviation", _as_bool),
+        ("deviation_windows", "deviation_windows", partial(_as_int, low=1)),
+        ("correlations", "correlations", _as_int_set),
+        ("otoc", "otoc", _as_otoc),
+        ("tmi", "tmi", _as_tmi),
+        ("record", "record", _as_bool),
+    )),
+}
+
+
+def _values(name: str, block: Any) -> dict:
+    """A file block -> its coerced dataclass attributes, each key checked."""
+    block = _require_mapping(block, name)
+    table = SCHEMA[name][1]
+    _check_keys(block, tuple(key for key, _, _ in table), name)
+    return {
+        attr: coerce(block[key], f"{name}.{key}")
+        for key, attr, coerce in table
+        if key in block
+    }
+
+
+def _build(name: str, block: Any):
+    """A file block -> its dataclass, defaults filling the absent keys."""
+    values = _values(name, block)
+    try:
+        return SCHEMA[name][0](**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _dump(name: str, value: Any) -> dict:
+    """A block's dataclass -> its file block, every key set."""
+    return {key: _plain(getattr(value, attr)) for key, attr, _ in SCHEMA[name][1]}
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_plain(x) for x in value]
+    if isinstance(value, OtocSpec):
+        return {"w": value.w.label(), "v": value.v.label()}
+    if isinstance(value, TmiSpec):
+        return {k: list(getattr(value, k)) for k in "abc"}
+    return value
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully resolved description of a single drive plus its tasks."""
+
+    model: IsingParams
+    drive: DriveConfig
+    readouts: tuple[str, ...]
+    tasks: TaskSpec
+
+    def blocks(self) -> dict:
+        """The config as file blocks with every key set, as the manifest
+        stores it; ``build_config`` of these blocks gives the config back."""
+        return {
+            name: _dump(name, value) if name in SCHEMA else _plain(value)
+            for name, value in vars(self).items()
+        }
+
+
+@dataclass
+class ConfigFile:
+    """Validated but unresolved content of a config file."""
+
+    preset: str | None = None
+    out: str | None = None
+    model: dict = field(default_factory=dict)
+    drive: dict = field(default_factory=dict)
+    readouts: list[str] | None = None
+    tasks: dict = field(default_factory=dict)
+
+
+def parse_config(path: str | Path) -> ConfigFile:
+    """Load and strictly validate a config file (keys and value types)."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        raw = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"syntax error in {path}: {exc}") from exc
+    raw = _require_mapping({} if raw is None else raw, str(path))
+    _check_keys(raw, tuple(f.name for f in fields(ConfigFile)), str(path))
+
+    for key in ("preset", "out"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a string")
+    if "readouts" in raw and not (
+        isinstance(raw["readouts"], list)
+        and all(isinstance(x, str) for x in raw["readouts"])
+    ):
+        raise ConfigError("readouts must be a list of operator labels")
+    for name in SCHEMA:
+        _values(name, raw.get(name, {}))
+    return ConfigFile(**raw)
 
 
 def default_readouts(n: int) -> list[str]:
@@ -262,27 +260,20 @@ def build_config(
     tasks_block: dict,
 ) -> ExperimentConfig:
     """Construct and cross-validate a full single-run configuration."""
-    model = build_model(model_block)
-    drive = build_drive(drive_block)
-    tasks = build_tasks(tasks_block)
+    model = _build("model", model_block)
+    drive = _build("drive", drive_block)
+    tasks = _build("tasks", tasks_block)
     if readouts is None:
         readouts = default_readouts(model.n)
 
-    seen = set()
-    for label in readouts:
-        try:
-            p = parse_operator_label(label)
-        except OperatorLabelError as exc:
-            raise ConfigError(f"readouts: {exc}") from exc
+    readouts = _unique(tuple(readouts), "readouts")
+    try:
+        operators = [parse_operator_label(label) for label in readouts]
+    except OperatorLabelError as exc:
+        raise ConfigError(f"readouts: {exc}") from exc
+    for p in operators + [p for spec in tasks.otoc for p in (spec.w, spec.v)]:
         if p.terms and max(p.sites) > model.n:
-            raise ConfigError(
-                f"readout {label!r} uses site {max(p.sites)} but the register "
-                f"ends at qubit {model.n}"
-            )
-        if label in seen:
-            raise ConfigError(f"duplicate readout {label!r}")
-        seen.add(label)
-
+            raise ConfigError(f"operator {p.label()!r} outside register 0..{model.n}")
     for d in tasks.stm_delays:
         if d < 0 or d > drive.n_washout:
             raise ConfigError(
@@ -291,12 +282,6 @@ def build_config(
     for q in tasks.correlations:
         if not 1 <= q <= model.n:
             raise ConfigError(f"correlation qubit {q} outside chain 1..{model.n}")
-    for spec in tasks.otoc:
-        for p in (spec.w, spec.v):
-            if p.terms and max(p.sites) > model.n:
-                raise ConfigError(
-                    f"otoc operator {p.label()!r} outside register 0..{model.n}"
-                )
     for spec in tasks.tmi:
         top = max(spec.a + spec.b + spec.c)
         if top > model.n:
@@ -315,6 +300,4 @@ def build_config(
             raise ConfigError(
                 f"deviation needs tasks.correlations = {list(want)}"
             )
-    return ExperimentConfig(
-        model=model, drive=drive, readouts=tuple(readouts), tasks=tasks
-    )
+    return ExperimentConfig(model=model, drive=drive, readouts=readouts, tasks=tasks)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, replace
-from itertools import combinations
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -22,10 +21,9 @@ from .config import (
     ConfigFile,
     ExperimentConfig,
     build_config,
-    default_readouts,
 )
 from .diagnostics import correlation_curve, otoc_curve, tmi_curve
-from .driver import ReadoutRecord, StateEnsemble, generate_inputs, run_drive
+from .driver import ReadoutRecord, generate_inputs, run_drive
 from .hamiltonian import CHAOTIC, FREE_FERMION, PERTURBED, spectral_model
 from .regression import data_deviation, stm_curve
 from .version import __version__
@@ -36,17 +34,69 @@ SYSTEM_FIELDS = {
     "perturbed": PERTURBED,
 }
 
-PRESET_NAMES = (
-    "fig3-free",
-    "fig3-chaotic",
-    "fig4",
-    "fig5-free",
-    "fig5-chaotic",
-    "fig6",
-    "appA",
-    "appB",
-    "appC",
-)
+
+class Preset(NamedTuple):
+    """Runs of one paper figure: a drive per regime and chain length."""
+
+    regimes: tuple[str, ...]
+    tasks: dict
+    readouts: tuple[str, ...] | None = None  # None: z1..zN, as in build_config
+    sizes: tuple[int, ...] = (7,)
+
+
+_STM3 = {"stm_delays": [0, 1, 2]}
+_FIG5_READOUTS = ("z2", "z3", "x2*x3", "z2*z3")
+_FIG5_TASKS = {
+    "otoc": [{"w": "z2", "v": "z1"}, {"w": "z3", "v": "z1"}],
+    "tmi": [{"a": [0], "b": [2], "c": [3]}],
+}
+
+# Preset name -> runs, in run order; file blocks and the CLI refine them.
+PRESETS = {
+    "fig3-free": Preset(("free",), _STM3),
+    "fig3-chaotic": Preset(("chaotic",), _STM3),
+    # A deviation run gets correlations 1..N, as the deviation total needs.
+    "fig4": Preset(("free", "chaotic"), {"deviation": True}),
+    "fig5-free": Preset(("free",), _FIG5_TASKS, _FIG5_READOUTS),
+    "fig5-chaotic": Preset(("chaotic",), _FIG5_TASKS, _FIG5_READOUTS),
+    "fig6": Preset(
+        ("free", "perturbed"),
+        {
+            "otoc": [{"w": "z2", "v": "z1"}, {"w": "z3", "v": "z1"},
+                     {"w": "z2", "v": "x1"}, {"w": "z3", "v": "x1"}],
+            "tmi": [{"a": [0], "b": [2], "c": [3]},
+                    {"a": [0], "b": [2], "c": [3, 4]}],
+        },
+        ("x2*x3", "z2*z3", "z2*x3", "x2*z3"),
+    ),
+    "appA": Preset(("free", "chaotic"), _STM3, sizes=(6, 7, 8, 9, 10)),
+    "appB": Preset(
+        ("free", "perturbed", "chaotic"),
+        {},
+        tuple(
+            "x2 x3 x4 z2 z3 z4 x2*x3 x2*z3 z2*x3 z2*z3 x2*x4 x2*z4 z2*x4 z2*z4"
+            " x3*x4 x3*z4 z3*x4 z3*z4".split()
+        ),
+    ),
+    "appC": Preset(
+        ("free", "perturbed", "chaotic"),
+        {
+            "stm_delays": [],
+            "otoc": [{"w": "x2*x3", "v": "z1"}, {"w": "z2*z3", "v": "z1"},
+                     {"w": "x2", "v": "x3"}, {"w": "z2", "v": "z3"}],
+        },
+        (),
+    ),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+# CLI override -> (block, file key) it sets, over the preset and the file.
+OVERRIDES = {
+    "n": ("model", "n"),
+    "seed": ("drive", "seed"),
+    "grid": ("drive", "n_grid"),
+    "tmi_cap": ("drive", "tmi_cap"),
+}
 
 
 @dataclass
@@ -57,147 +107,29 @@ class RunPlan:
     config: ExperimentConfig
 
 
-def _model_block(system: str, n: int) -> dict:
-    h_x, h_z = SYSTEM_FIELDS[system]
-    return {"n": n, "j": 1.0, "h_x": h_x, "h_z": h_z}
-
-
-def _pair_labels(qubits: tuple[int, ...]) -> list[str]:
-    labels = []
-    for i, j in combinations(qubits, 2):
-        for a in ("x", "z"):
-            for b in ("x", "z"):
-                labels.append(f"{a}{i}*{b}{j}")
-    return labels
-
-
 def _expand_preset(name: str, n: int | None) -> list[tuple[str, dict]]:
-    """Preset name -> list of (relative dir, config blocks)."""
-    if name in ("fig3-free", "fig3-chaotic"):
-        system = name.split("-")[1]
-        size = n or 7
-        return [
-            (
-                "",
-                {
-                    "model": _model_block(system, size),
-                    "readouts": default_readouts(size),
-                    "tasks": {"stm_delays": [0, 1, 2]},
-                },
-            )
-        ]
-    if name == "fig4":
-        size = n or 7
-        return [
-            (
-                system,
-                {
-                    "model": _model_block(system, size),
-                    "readouts": default_readouts(size),
-                    "tasks": {
-                        "stm_delays": [0],
-                        "deviation": True,
-                        "correlations": list(range(1, size + 1)),
-                    },
-                },
-            )
-            for system in ("free", "chaotic")
-        ]
-    if name in ("fig5-free", "fig5-chaotic"):
-        system = name.split("-")[1]
-        size = n or 7
-        return [
-            (
-                "",
-                {
-                    "model": _model_block(system, size),
-                    "readouts": ["z2", "z3", "x2*x3", "z2*z3"],
-                    "tasks": {
-                        "stm_delays": [0],
-                        "otoc": [{"w": "z2", "v": "z1"}, {"w": "z3", "v": "z1"}],
-                        "tmi": [{"a": [0], "b": [2], "c": [3]}],
-                    },
-                },
-            )
-        ]
-    if name == "fig6":
-        size = n or 7
-        return [
-            (
-                system,
-                {
-                    "model": _model_block(system, size),
-                    "readouts": ["x2*x3", "z2*z3", "z2*x3", "x2*z3"],
-                    "tasks": {
-                        "stm_delays": [0],
-                        "otoc": [
-                            {"w": "z2", "v": "z1"},
-                            {"w": "z3", "v": "z1"},
-                            {"w": "z2", "v": "x1"},
-                            {"w": "z3", "v": "x1"},
-                        ],
-                        "tmi": [
-                            {"a": [0], "b": [2], "c": [3]},
-                            {"a": [0], "b": [2], "c": [3, 4]},
-                        ],
-                    },
-                },
-            )
-            for system in ("free", "perturbed")
-        ]
-    if name == "appA":
-        sizes = [n] if n else list(range(6, 11))
-        return [
-            (
-                f"{system}/n{size}",
-                {
-                    "model": _model_block(system, size),
-                    "readouts": default_readouts(size),
-                    "tasks": {"stm_delays": [0, 1, 2]},
-                },
-            )
-            for system in ("free", "chaotic")
-            for size in sizes
-        ]
-    if name == "appB":
-        size = n or 7
-        readouts = [f"{a}{i}" for a in ("x", "z") for i in (2, 3, 4)]
-        readouts += _pair_labels((2, 3, 4))
-        return [
-            (
-                system,
-                {
-                    "model": _model_block(system, size),
-                    "readouts": readouts,
-                    "tasks": {"stm_delays": [0]},
-                },
-            )
-            for system in ("free", "perturbed", "chaotic")
-        ]
-    if name == "appC":
-        size = n or 7
-        return [
-            (
-                system,
-                {
-                    "model": _model_block(system, size),
-                    "readouts": [],
-                    "tasks": {
-                        "stm_delays": [],
-                        "otoc": [
-                            {"w": "x2*x3", "v": "z1"},
-                            {"w": "z2*z3", "v": "z1"},
-                            {"w": "x2", "v": "x3"},
-                            {"w": "z2", "v": "z3"},
-                        ],
-                    },
-                },
-            )
-            for system in ("free", "perturbed", "chaotic")
-        ]
-    raise ConfigError(
-        f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-    )
+    """Preset name -> list of (relative dir, config blocks); ``n`` replaces
+    the preset's chain lengths."""
+    if name not in PRESETS:
+        raise ConfigError(
+            f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
+        )
+    preset = PRESETS[name]
+    runs = []
+    for regime in preset.regimes:
+        h_x, h_z = SYSTEM_FIELDS[regime]
+        for size in (n,) if n else preset.sizes:
+            tasks = dict(preset.tasks)
+            if tasks.get("deviation"):
+                tasks["correlations"] = list(range(1, size + 1))
+            if len(preset.sizes) > 1:
+                rel_dir = f"{regime}/n{size}"
+            else:
+                rel_dir = regime if len(preset.regimes) > 1 else ""
+            model = {"n": size, "h_x": h_x, "h_z": h_z}
+            blocks = {"model": model, "readouts": preset.readouts, "tasks": tasks}
+            runs.append((rel_dir, blocks))
+    return runs
 
 
 def plan_runs(
@@ -205,44 +137,33 @@ def plan_runs(
     doc: ConfigFile | None = None,
     overrides: dict | None = None,
 ) -> list[RunPlan]:
-    """Resolve preset defaults, config-file blocks, and direct overrides.
+    """Resolve preset defaults, config-file blocks, and CLI overrides.
 
-    Precedence per key: preset < config file < overrides.
+    Precedence per key: preset < config file < overrides; ``overrides`` holds
+    the keys of ``OVERRIDES``, where None leaves a key unset.
     """
-    overrides = dict(overrides or {})
-    name = preset or (doc.preset if doc else None)
-    n_override = overrides.get("n") or (doc.model.get("n") if doc else None)
-    base = _expand_preset(name, n_override) if name else [("", {})]
-
-    plans = []
-    for rel_dir, blocks in base:
-        model_block = dict(blocks.get("model", {}))
-        drive_block = dict(blocks.get("drive", {}))
-        readouts = blocks.get("readouts")
-        tasks_block = dict(blocks.get("tasks", {}))
-        if doc is not None:
-            model_block.update(doc.model)
-            drive_block.update(doc.drive)
-            if doc.readouts is not None:
-                readouts = list(doc.readouts)
-            tasks_block.update(doc.tasks)
-        if overrides.get("n") is not None:
-            model_block["n"] = overrides["n"]
-        if overrides.get("seed") is not None:
-            drive_block["seed"] = overrides["seed"]
-        if overrides.get("grid") is not None:
-            drive_block["n_grid"] = overrides["grid"]
-        if overrides.get("tmi_cap") is not None:
-            drive_block["tmi_cap"] = overrides["tmi_cap"]
-        model_block.update(overrides.get("model", {}))
-        drive_block.update(overrides.get("drive", {}))
-        if overrides.get("readouts") is not None:
-            readouts = list(overrides["readouts"])
-        tasks_block.update(overrides.get("tasks", {}))
-        plans.append(
-            RunPlan(rel_dir, build_config(model_block, drive_block, readouts, tasks_block))
+    doc = doc or ConfigFile()
+    blocks = {"model": dict(doc.model), "drive": dict(doc.drive)}
+    for key, value in (overrides or {}).items():
+        if key not in OVERRIDES:
+            raise ConfigError(f"unknown override {key!r}")
+        if value is not None:
+            block, file_key = OVERRIDES[key]
+            blocks[block][file_key] = value
+    name = preset or doc.preset
+    runs = _expand_preset(name, blocks["model"].get("n")) if name else [("", {})]
+    return [
+        RunPlan(
+            rel_dir,
+            build_config(
+                {**base.get("model", {}), **blocks["model"]},
+                blocks["drive"],
+                base.get("readouts") if doc.readouts is None else doc.readouts,
+                {**base.get("tasks", {}), **doc.tasks},
+            ),
         )
-    return plans
+        for rel_dir, base in runs
+    ]
 
 
 def _fmt(value) -> str:
@@ -260,42 +181,6 @@ def write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
 
 def _file_label(label: str) -> str:
     return label.replace("*", "")
-
-
-def config_to_blocks(config: ExperimentConfig) -> dict:
-    """Config as plain file-schema blocks (used in the manifest for replay)."""
-    return {
-        "model": {
-            "n": config.model.n,
-            "j": config.model.j,
-            "h_x": config.model.h_x,
-            "h_z": config.model.h_z,
-        },
-        "drive": {
-            "t_in": config.drive.t_in,
-            "n_grid": config.drive.n_grid,
-            "washout": config.drive.n_washout,
-            "train": config.drive.n_train,
-            "test": config.drive.n_test,
-            "seed": config.drive.seed,
-            "tmi_cap": config.drive.tmi_cap,
-        },
-        "readouts": list(config.readouts),
-        "tasks": {
-            "stm_delays": list(config.tasks.stm_delays),
-            "deviation": config.tasks.deviation,
-            "deviation_windows": config.tasks.deviation_windows,
-            "correlations": list(config.tasks.correlations),
-            "otoc": [
-                {"w": spec.w.label(), "v": spec.v.label()} for spec in config.tasks.otoc
-            ],
-            "tmi": [
-                {"a": list(spec.a), "b": list(spec.b), "c": list(spec.c)}
-                for spec in config.tasks.tmi
-            ],
-            "record": config.tasks.record,
-        },
-    }
 
 
 def _write_record_csv(path: Path, record: ReadoutRecord) -> None:
@@ -444,7 +329,7 @@ def run_experiment(
         "version": __version__,
         "preset": preset,
         "system": system,
-        "config": config_to_blocks(config),
+        "config": config.blocks(),
         "inputs": {
             "algorithm": "numpy-pcg64",
             "seed": inputs.seed,
@@ -459,24 +344,6 @@ def run_experiment(
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     return manifest_path
-
-
-def run_preset(
-    name: str,
-    overrides: dict | None = None,
-    out_dir: str | Path | None = None,
-    doc: ConfigFile | None = None,
-) -> list[Path]:
-    """Expand a preset and execute every run under ``out_dir``."""
-    out_dir = Path(out_dir) if out_dir is not None else Path(name)
-    plans = plan_runs(name, doc, overrides)
-    manifests = []
-    for plan in plans:
-        run_dir = out_dir / plan.rel_dir if plan.rel_dir else out_dir
-        manifests.append(
-            run_experiment(plan.config, run_dir, preset=name, system=plan.rel_dir)
-        )
-    return manifests
 
 
 def replay_manifest(manifest_path: str | Path, out_dir: str | Path) -> Path:

@@ -22,9 +22,9 @@ class IsingParams:
     the longitudinal and transverse fields.
     """
 
-    n: int
-    h_x: float
-    h_z: float
+    n: int = 7
+    h_x: float = 0.0
+    h_z: float = 1.0
     j: float = 1.0
 
     def __post_init__(self):

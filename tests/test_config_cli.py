@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from qrp.cli import main
@@ -21,7 +22,6 @@ from qrp.experiment import (
     plan_runs,
     replay_manifest,
     run_experiment,
-    run_preset,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -37,6 +37,27 @@ def write_yaml(tmp_path: Path, text: str, name: str = "conf.yaml") -> Path:
 
 def default_config():
     return build_config({}, {}, None, {})
+
+
+def cli_error(args: list[str]) -> str:
+    """Run the CLI, expect exit 2, and return its JSON error message."""
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    error = json.loads(result.stderr.strip().split("\n")[-1])
+    assert error["error"]["type"] == "ConfigError"
+    return error["error"]["message"]
+
+
+def run_preset_cli(tmp_path: Path, name: str, n: int, drive: dict) -> list[Path]:
+    """``qrp run --config`` on a file naming the preset and the drive;
+    returns the manifests written."""
+    conf = write_yaml(tmp_path, yaml.safe_dump({"preset": name, "drive": drive}))
+    out = tmp_path / name
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(conf), "--n", str(n), "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    return sorted(out.rglob("manifest.json"))
 
 
 class TestParseConfig:
@@ -89,6 +110,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="syntax"):
             parse_config(path)
 
+    def test_non_integer_chain_length_named(self, tmp_path):
+        path = write_yaml(tmp_path, "preset: fig3-free\nmodel:\n  n: seven\n")
+        with pytest.raises(ConfigError, match="model.n"):
+            parse_config(path)
+
     def test_bad_otoc_entry(self, tmp_path):
         path = write_yaml(tmp_path, "tasks:\n  otoc:\n    - {w: z2}\n")
         with pytest.raises(ConfigError, match="otoc"):
@@ -110,6 +136,33 @@ class TestParseConfig:
     def test_stm_delay_beyond_washout(self):
         with pytest.raises(ConfigError, match="delay"):
             build_config({}, {"washout": 2}, None, {"stm_delays": [3]})
+
+    @pytest.mark.parametrize(
+        "blocks, key",
+        [
+            (({"n": 3, "hx": 0.5}, {}, None, {}), "hx"),
+            (({}, {"washot": 3}, None, {}), "washot"),
+            (({}, {}, None, {"corelations": [1]}), "corelations"),
+        ],
+        ids=["model", "drive", "tasks"],
+    )
+    def test_library_path_rejects_unknown_key(self, blocks, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            build_config(*blocks)
+
+    @pytest.mark.parametrize(
+        "tasks, key",
+        [
+            ({"stm_delays": [0, 0]}, "stm_delays"),
+            ({"correlations": [2, 2]}, "correlations"),
+            ({"otoc": [{"w": "z2", "v": "z1"}, {"w": "z2", "v": "z1"}]}, "otoc"),
+            ({"tmi": [{"a": [0], "b": [2], "c": [3]}] * 2}, "tmi"),
+        ],
+        ids=["stm_delays", "correlations", "otoc", "tmi"],
+    )
+    def test_duplicate_task_entry_rejected(self, tasks, key):
+        with pytest.raises(ConfigError, match=f"duplicate entry .* in tasks.{key}"):
+            build_config({"n": 3}, {}, None, tasks)
 
 
 class TestPlanRuns:
@@ -145,6 +198,18 @@ class TestPlanRuns:
     def test_appa_size_override_collapses_sweep(self):
         plans = plan_runs("appA", None, {"n": 8})
         assert [p.rel_dir for p in plans] == ["free/n8", "chaotic/n8"]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_manifest_blocks_round_trip(self, name):
+        """The manifest's config blocks are plain JSON, and ``build_config``
+        of them gives back the planned configuration."""
+        for plan in plan_runs(name, None, {}):
+            blocks = json.loads(json.dumps(plan.config.blocks()))
+            assert list(blocks) == ["model", "drive", "readouts", "tasks"]
+            rebuilt = build_config(
+                blocks["model"], blocks["drive"], blocks["readouts"], blocks["tasks"]
+            )
+            assert rebuilt == plan.config, plan.rel_dir
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +360,15 @@ class TestRunExperiment:
         _write_record_csv(path, record)
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
+    def test_replay_rejects_unknown_key(self, tiny_run, tmp_path):
+        _, manifest_path = tiny_run
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["drive"]["washot"] = 3
+        edited = tmp_path / "manifest.json"
+        edited.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="washot"):
+            replay_manifest(edited, tmp_path / "replay")
+
     def test_manifest_replay_bit_identical(self, tiny_run, tmp_path):
         out, manifest_path = tiny_run
         replay_dir = tmp_path / "replay"
@@ -305,11 +379,7 @@ class TestRunExperiment:
 
 class TestRunPreset:
     def test_fig5_smoke(self, tmp_path):
-        manifests = run_preset(
-            "fig5-free",
-            overrides={"n": 4, "grid": 3, "drive": TINY_DRIVE},
-            out_dir=tmp_path / "fig5",
-        )
+        manifests = run_preset_cli(tmp_path, "fig5-free", 4, TINY_DRIVE)
         assert len(manifests) == 1
         out = manifests[0].parent
         for name in (
@@ -325,9 +395,7 @@ class TestRunPreset:
         # appC records no read-outs; 24 recorded intervals on 3 grid times
         # are enough for the operation counts to favour the Heisenberg order.
         drive = dict(TINY_DRIVE, train=12, test=12)
-        manifests = run_preset(
-            "appC", overrides={"n": 3, "drive": drive}, out_dir=tmp_path / "appC"
-        )
+        manifests = run_preset_cli(tmp_path, "appC", 3, drive)
         assert len(manifests) == 3
         for manifest_path in manifests:
             out = manifest_path.parent
@@ -335,11 +403,7 @@ class TestRunPreset:
                 assert (out / name).exists(), name
 
     def test_fig4_deviation_outputs(self, tmp_path):
-        manifests = run_preset(
-            "fig4",
-            overrides={"n": 3, "drive": TINY_DRIVE},
-            out_dir=tmp_path / "fig4",
-        )
+        manifests = run_preset_cli(tmp_path, "fig4", 3, TINY_DRIVE)
         assert len(manifests) == 2
         for manifest_path in manifests:
             manifest = json.loads(manifest_path.read_text())
@@ -382,9 +446,10 @@ class TestCli:
         error = json.loads(result.stderr.strip().split("\n")[-1])
         assert "fig3-free" in error["error"]["message"]
 
-    def test_validate_ok(self, tmp_path):
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_validate_ok(self, tmp_path, name):
         conf = tmp_path / "ok.yaml"
-        conf.write_text("model:\n  n: 3\n")
+        conf.write_text(f"preset: {name}\n")
         result = CliRunner().invoke(main, ["validate", "--config", str(conf)])
         assert result.exit_code == 0
         assert "ok" in result.output
@@ -415,3 +480,24 @@ class TestCli:
         assert result.exit_code == 2
         error = json.loads(result.stderr.strip().split("\n")[-1])
         assert "h_x" in error["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("tasks:\n  deviation_windows: 0\n", "tasks.deviation_windows"),
+            ("drive:\n  seed: -1\n", "drive.seed"),
+        ],
+        ids=["deviation_windows", "seed"],
+    )
+    def test_out_of_range_value_rejected_before_running(self, tmp_path, text, key):
+        conf = write_yaml(tmp_path, "preset: fig4\nmodel:\n  n: 3\n" + text)
+        assert key in cli_error(["validate", "--config", str(conf)])
+        out = tmp_path / "out"
+        assert key in cli_error(["run", "--config", str(conf), "--out", str(out)])
+        assert not out.exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path):
+        conf = write_yaml(tmp_path, "model:\n  n: 3\n")
+        out = str(tmp_path / "out")
+        args = ["run", "--config", str(conf), "--seed", "-1", "--out", out]
+        assert "drive.seed" in cli_error(args)
