@@ -33,8 +33,12 @@ def main() -> None:
 @click.option("--out", "out_dir", type=click.Path(), default=None, help="output dir")
 @click.option("--seed", type=int, default=None, help="input-sequence seed override")
 @click.option("--n", type=int, default=None, help="chain length override")
-@click.option("--grid", type=int, default=None, help="virtual-time samples per interval")
-@click.option("--tmi-cap", type=int, default=None, help="max per-step entropy snapshots")
+@click.option(
+    "--grid", type=int, default=None, help="virtual-time samples per interval"
+)
+@click.option(
+    "--tmi-cap", type=int, default=None, help="max per-step entropy snapshots"
+)
 def run(preset, config_path, out_dir, seed, n, grid, tmi_cap) -> None:
     """Run a preset or a custom configuration and write CSVs + manifests."""
     try:

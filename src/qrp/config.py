@@ -140,11 +140,11 @@ SCHEMA: dict[str, tuple[type, tuple]] = {
     "drive": (DriveConfig, (
         ("t_in", "t_in", _as_float),
         ("n_grid", "n_grid", _as_int),
-        ("washout", "n_washout", _as_int),
+        ("washout", "n_washout", partial(_as_int, low=0)),
         ("train", "n_train", _as_int),
         ("test", "n_test", _as_int),
         ("seed", "seed", partial(_as_int, low=0)),
-        ("tmi_cap", "tmi_cap", _as_int),
+        ("tmi_cap", "tmi_cap", partial(_as_int, low=0)),
     )),
     "tasks": (TaskSpec, (
         ("stm_delays", "stm_delays", _as_int_set),

@@ -72,7 +72,8 @@ class TmiSpec:
         return tuple(sorted(self.a + self.b + self.c))
 
     def name(self) -> str:
-        return "_".join("".join(str(q) for q in sub) for sub in (self.a, self.b, self.c))
+        subsets = (self.a, self.b, self.c)
+        return "_".join("".join(str(q) for q in sub) for sub in subsets)
 
 
 def _tau_chunks(n_taus: int, bytes_per_tau: int) -> list[slice]:
@@ -116,13 +117,6 @@ def correlation_curve(
     return out
 
 
-def dynamical_correlation(
-    ensemble: StateEnsemble, qubit: int, model: SpectralModel, tau: float
-) -> complex:
-    """``correlation_curve`` at a single time."""
-    return complex(correlation_curve(ensemble, qubit, model, np.array([tau]))[0])
-
-
 def otoc_curve(
     ensemble: StateEnsemble,
     spec: OtocSpec,
@@ -161,13 +155,6 @@ def otoc_curve(
     return values
 
 
-def otoc(
-    ensemble: StateEnsemble, spec: OtocSpec, model: SpectralModel, tau: float
-) -> float:
-    """Real part of ``otoc_curve`` at a single time."""
-    return float(otoc_curve(ensemble, spec, model, np.array([tau]))[0].real)
-
-
 # S_A + S_B + S_C - S_AB - S_AC - S_BC + S_ABC
 _TMI_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
 
@@ -189,15 +176,6 @@ def _tmi_of_joint(joint: np.ndarray, spec: TmiSpec) -> np.ndarray:
         stack[..., j, :size, :size] = reduced
     stack[..., 6, :, :] = joint
     return spectrum_entropy(np.linalg.eigvalsh(stack)) @ _TMI_SIGNS
-
-
-def tmi(state: np.ndarray, spec: TmiSpec) -> float:
-    """Tripartite mutual information of one register state.
-
-    S_A + S_B + S_C - S_AB - S_AC - S_BC + S_ABC, with all entropies taken
-    from partial traces of the joint reduced state on A u B u C.
-    """
-    return float(_tmi_of_joint(partial_trace(state, spec.union), spec))
 
 
 def tmi_curve(

@@ -203,7 +203,9 @@ class _Readout:
     Tr[rest], and only the h x h x h products G_ab = D_a^dag D_b are packed.
     """
 
-    def __init__(self, model: SpectralModel, split: list[tuple[str, PauliString]], grid):
+    def __init__(
+        self, model: SpectralModel, split: list[tuple[str, PauliString]], grid
+    ):
         self.model = model
         self.grid = grid
         self.axes = [axis0 for axis0, _ in split]
@@ -326,19 +328,16 @@ def minus_rows(u: np.ndarray, space, out: np.ndarray) -> np.ndarray:
 
 
 def _state_health(
-    rest: np.ndarray, k: int, config: DriveConfig, scratch: np.ndarray | None = None
+    rest: np.ndarray, k: int, config: DriveConfig, scratch: np.ndarray
 ) -> tuple[float, float]:
     """Trace drift and Hermiticity residue of the running state at interval
     ``k``; raises ``DriveError`` naming the interval, its phase and the
     quantity when either exceeds its tolerance or is not finite.
 
     ``scratch``, at least 3 h**2 contiguous float64 entries for an h x h
-    ``rest``, holds the residue's intermediates; it is allocated when not
-    given.
+    ``rest``, holds the residue's intermediates.
     """
     h = len(rest)
-    if scratch is None:
-        scratch = np.empty(3 * h * h)
     skew = scratch[: 2 * h * h].view(complex).reshape(h, h)
     size = scratch[2 * h * h : 3 * h * h].reshape(h, h)
     np.conjugate(rest.T, out=skew)

@@ -128,11 +128,6 @@ def spectral_model(params: IsingParams) -> SpectralModel:
     return diagonalize(build_hamiltonian(params), params)
 
 
-def ground_state(model: SpectralModel) -> np.ndarray:
-    """Unit-norm lowest eigenvector of the chain (phase already fixed)."""
-    return model.eigenvectors[:, 0].copy()
-
-
 def chain_propagator(model: SpectralModel, tau: float) -> np.ndarray:
     """exp(-i H tau) on the chain register, via the eigendecomposition."""
     if tau < 0:

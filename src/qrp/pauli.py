@@ -54,7 +54,9 @@ class PauliString:
         object.__setattr__(self, "terms", tuple(sorted(self.terms)))
 
     @classmethod
-    def from_terms(cls, terms: Mapping[int, str] | Iterable[tuple[int, str]]) -> "PauliString":
+    def from_terms(
+        cls, terms: Mapping[int, str] | Iterable[tuple[int, str]]
+    ) -> "PauliString":
         if isinstance(terms, Mapping):
             terms = terms.items()
         return cls(tuple(terms))
@@ -82,7 +84,9 @@ def parse_operator_label(text: str) -> PauliString:
     Grammar: ``axis site ('*' axis site)*`` with axis in {x, y, z} and site a
     decimal integer.  Duplicate sites are rejected.
     """
-    if not isinstance(text, str) or not text.strip():
+    if not isinstance(text, str):
+        raise OperatorLabelError(f"operator label must be a string, got {text!r}")
+    if not text.strip():
         raise OperatorLabelError(f"empty operator label {text!r}")
     terms = []
     for fragment in text.strip().split("*"):
@@ -121,7 +125,9 @@ def build_dense(p: PauliString, register_size: int) -> np.ndarray:
     return reduce(np.kron, factors)
 
 
-def signed_permutation(p: PauliString, register_size: int) -> tuple[np.ndarray, np.ndarray]:
+def signed_permutation(
+    p: PauliString, register_size: int
+) -> tuple[np.ndarray, np.ndarray]:
     """``(perm, sign)`` with ``build_dense(p, n) @ a == sign[:, None] * a[perm]``.
 
     A Pauli string sends each basis state to one basis state times a phase,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import InputSequence, ReadoutRecord
+from .driver import ReadoutRecord
 
 VAR_FLOOR = 1e-14
 SVD_RCOND = 1e-12
@@ -91,20 +91,13 @@ class PerformanceCurve:
     w_c: np.ndarray
 
 
-def stm_curve(
-    record: ReadoutRecord,
-    operator: str,
-    delay: int,
-    inputs: InputSequence | None = None,
-) -> PerformanceCurve:
+def stm_curve(record: ReadoutRecord, operator: str, delay: int) -> PerformanceCurve:
     """Train per grid time on the training rows, score on the testing rows.
 
     Targets are the inputs ``delay`` intervals earlier; rows whose delayed
     index falls before the recorded range draw from the washout portion of
-    the persisted sequence.
+    the record's input sequence.
     """
-    if inputs is None:
-        inputs = record.inputs
     if delay < 0:
         raise ValueError(f"delay must be >= 0, got {delay}")
     if delay > record.first_step:
@@ -114,7 +107,7 @@ def stm_curve(
         )
     x_train = record.train_values(operator)
     x_test = record.test_values(operator)
-    s = np.asarray(inputs.values, dtype=float)
+    s = np.asarray(record.inputs.values, dtype=float)
 
     k_train = record.first_step + np.arange(record.n_train)
     k_test = record.first_step + record.n_train + np.arange(record.n_test)

@@ -24,16 +24,6 @@ def n_qubits_of(rho: np.ndarray) -> int:
     return n
 
 
-def input_state(s: float) -> np.ndarray:
-    """Two-qubit injection vector sqrt(s)|00> + sqrt(1-s)|11> on qubits (0,1)."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"input value must lie in [0, 1], got {s}")
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = np.sqrt(s)
-    psi[3] = np.sqrt(1.0 - s)
-    return psi
-
-
 def partial_trace(rho: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.ndarray:
     """Reduced density matrix on ``keep`` (strictly increasing qubit indices).
 
@@ -65,11 +55,6 @@ def spectrum_entropy(eigenvalues: np.ndarray) -> np.ndarray:
     """
     lam = np.where(eigenvalues > EIG_CUTOFF, eigenvalues, 1.0)
     return -np.sum(lam * np.log2(lam), axis=-1)
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Base-2 von Neumann entropy; tiny negative eigenvalues are clamped."""
-    return float(spectrum_entropy(np.linalg.eigvalsh(rho)))
 
 
 @lru_cache(maxsize=16)

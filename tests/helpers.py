@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+from qrp.diagnostics import TmiSpec, _tmi_of_joint
 from qrp.driver import StateEnsemble
-from qrp.hamiltonian import SpectralModel, chain_propagator, ground_state
+from qrp.hamiltonian import SpectralModel, chain_propagator
 from qrp.pauli import PauliString, build_dense
-from qrp.states import input_state, n_qubits_of, partial_trace
+from qrp.states import n_qubits_of, partial_trace, spectrum_entropy
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -35,6 +36,30 @@ def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
 # in ``qrp`` contracts away, kept here as the reference it is tested against.
 
 IMAG_WARN_TOL = 1e-8
+
+
+def input_state(s: float) -> np.ndarray:
+    """Two-qubit injection vector sqrt(s)|00> + sqrt(1-s)|11> on qubits (0,1)."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"input value must lie in [0, 1], got {s}")
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = np.sqrt(s)
+    psi[3] = np.sqrt(1.0 - s)
+    return psi
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Base-2 von Neumann entropy; tiny negative eigenvalues are clamped."""
+    return float(spectrum_entropy(np.linalg.eigvalsh(rho)))
+
+
+def tmi(state: np.ndarray, spec: TmiSpec) -> float:
+    """Tripartite mutual information of one register state.
+
+    S_A + S_B + S_C - S_AB - S_AC - S_BC + S_ABC, with all entropies taken
+    from partial traces of the joint reduced state on A u B u C.
+    """
+    return float(_tmi_of_joint(partial_trace(state, spec.union), spec))
 
 
 def propagator(model: SpectralModel, tau: float) -> np.ndarray:
@@ -63,7 +88,7 @@ def heisenberg(
 
 def initial_state(model: SpectralModel) -> np.ndarray:
     """|0><0| on qubit 0 tensored with the chain ground-state projector."""
-    g = ground_state(model)
+    g = model.eigenvectors[:, 0]
     anc = np.zeros((2, 2), dtype=complex)
     anc[0, 0] = 1.0
     return np.kron(anc, np.outer(g, g.conj()))

@@ -17,19 +17,19 @@ import pytest
 from helpers import (
     evolve,
     expectation,
+    input_state,
     propagator,
     random_density,
     random_pure,
     register_ensemble,
     sample_state,
+    von_neumann_entropy,
 )
 from qrp.config import build_config
 from qrp.diagnostics import (
     OtocSpec,
     TmiSpec,
     correlation_curve,
-    dynamical_correlation,
-    otoc,
     otoc_curve,
     tmi_curve,
 )
@@ -218,17 +218,11 @@ def test_08_otoc_perturbation_insensitivity(runs):
     worst = 0.0
     for i in (2, 3):
         spec = OtocSpec.of(f"z{i}", "z1")
-        for tau in cfg.grid:
-            f_free = otoc(
-                systems["free"].ensemble, spec, systems["free"].model, float(tau)
-            )
-            f_pert = otoc(
-                systems["perturbed"].ensemble,
-                spec,
-                systems["perturbed"].model,
-                float(tau),
-            )
-            worst = max(worst, abs(f_free - f_pert))
+        free, pert = (
+            otoc_curve(systems[name].ensemble, spec, systems[name].model, cfg.grid).real
+            for name in ("free", "perturbed")
+        )
+        worst = max(worst, float(np.max(np.abs(free - pert))))
     ok = worst < 0.05
     _report(
         8,
@@ -298,7 +292,7 @@ def test_delay_continuity_at_interval_boundary(runs):
 
 
 def test_10_numerical_kernel_suite():
-    from qrp.states import partial_trace, von_neumann_entropy
+    from qrp.states import partial_trace
 
     rng = np.random.default_rng(101)
     model = spectral_model(IsingParams(n=4, h_x=-0.5, h_z=1.05))
@@ -375,8 +369,6 @@ def test_11_regression_oracle():
 
 
 def test_12_brute_force_equivalence():
-    from qrp.states import input_state
-
     rng = np.random.default_rng(103)
     model = spectral_model(IsingParams(n=3, h_x=-0.5, h_z=1.05))
     dim = 16
@@ -409,7 +401,7 @@ def test_12_brute_force_equivalence():
                 for i in range(n_samp)
             ]
         )
-        got = dynamical_correlation(ensemble, 2, model, tau)
+        got = correlation_curve(ensemble, 2, model, [tau])[0]
         worst = max(worst, abs(got - oracle))
 
         spec = OtocSpec.of("z2", "z1")
@@ -421,7 +413,8 @@ def test_12_brute_force_equivalence():
                 for i in range(n_samp)
             ]
         )
-        worst = max(worst, abs(otoc(ensemble, spec, model, tau) - otoc_oracle))
+        got = otoc_curve(ensemble, spec, model, [tau])[0].real
+        worst = max(worst, abs(got - otoc_oracle))
 
     _report(12, "brute-force-equivalence", worst <= 1e-10, f"max |err|={worst:.2e}")
 

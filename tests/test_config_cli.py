@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,13 @@ from qrp.config import (
     build_config,
     parse_config,
 )
-from qrp.driver import ReadoutRecord, generate_inputs, run_drive
+from qrp.driver import run_drive
 from qrp.experiment import (
     PRESET_NAMES,
-    _write_record_csv,
     plan_runs,
     replay_manifest,
     run_experiment,
+    write_csv,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -327,8 +328,9 @@ class TestRunExperiment:
             assert (again / csv.name).read_bytes() == csv.read_bytes(), csv.name
 
     def test_record_writer_matches_cellwise_format(self, tmp_path):
-        """The row-wise writer gives the bytes of formatting every cell with
-        ``f"{value:.17g}"``, on values where a formatter could differ."""
+        """The column writer gives the bytes of formatting every cell on its
+        own: ``str`` for integers and strings, ``f"{value:.17g}"`` for
+        floats, on values where a formatter could differ."""
         specials = [
             -0.0,
             5e-324,
@@ -339,26 +341,61 @@ class TestRunExperiment:
             1e16,
             0.1,
         ]
-        values = np.array(specials * 3).reshape(2, 4, 3)
-        record = ReadoutRecord(
-            operators=["z1", "x2*x3"],
-            grid=np.arange(3) * (5.0 / 3),
-            values=values,
-            n_train=2,
-            n_test=2,
-            first_step=7,
-            inputs=generate_inputs(0, 11),
-        )
-        expected = ["k,phase,tau,z1,x2*x3"]
-        for row in range(4):
-            phase = "train" if row < 2 else "test"
-            for m, tau in enumerate(record.grid):
-                cells = [str(7 + row), phase, f"{float(tau):.17g}"]
-                cells += [f"{float(v):.17g}" for v in values[:, row, m]]
-                expected.append(",".join(cells))
-        path = tmp_path / "readouts.csv"
-        _write_record_csv(path, record)
+        floats = np.array(specials * 3).reshape(3, 8)
+        ints = np.arange(8) - 3
+        labels = np.array(["train"] * 5 + ["test", "x2*x3", ""])
+        expected = ["k,phase,a,b,c"]
+        for row in range(8):
+            cells = [str(ints[row]), str(labels[row])]
+            cells += [f"{float(v):.17g}" for v in floats[:, row]]
+            expected.append(",".join(cells))
+        path = tmp_path / "out.csv"
+        write_csv(path, "k,phase,a,b,c", [ints, labels, *floats])
         assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    def test_writer_streams_a_large_record(self, tmp_path):
+        """A (20, 300, 50) record, as ``readouts.csv`` columns, is written
+        with a traced peak under 2 MiB: rows are formatted a block at a
+        time (whole columns as Python lists peaked at about 11 MiB)."""
+        n_ops, rows, n_grid = 20, 300, 50
+        values = np.random.default_rng(5).random((n_ops, rows, n_grid))
+        steps = np.arange(rows)
+        columns = [
+            np.repeat(100 + steps, n_grid),
+            np.repeat(np.where(steps < 150, "train", "test"), n_grid),
+            np.tile(np.arange(n_grid) * 0.1, rows),
+            *values.reshape(n_ops, rows * n_grid),
+        ]
+        header = ",".join(["k", "phase", "tau"] + [f"z{i}" for i in range(n_ops)])
+        path = tmp_path / "readouts.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, header, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert len(lines) == 2 + rows * n_grid and lines[-1] == ""
+        assert lines[1].startswith("100,train,0,")
+
+    def test_record_without_readouts(self, tmp_path):
+        """An appC-shaped run (no read-outs, an OTOC task) with ``record``
+        still writes ``readouts.csv``: the key columns, one row per (k, tau)."""
+        drive = dict(TINY_DRIVE, train=12, test=12)
+        config = build_config(
+            {"n": 3},
+            drive,
+            [],
+            {"stm_delays": [], "otoc": [{"w": "z2", "v": "z3"}], "record": True},
+        )
+        manifest = json.loads(run_experiment(config, tmp_path).read_text())
+        assert manifest["outputs"] == ["otoc_z2_z3.csv", "readouts.csv"]
+        lines = (tmp_path / "readouts.csv").read_text().strip().split("\n")
+        assert lines[0] == "k,phase,tau"
+        assert len(lines) == 1 + 24 * drive["n_grid"]
+        assert lines[1] == "4,train,0"
+        assert lines[-1].startswith("27,test,")
 
     def test_replay_rejects_unknown_key(self, tiny_run, tmp_path):
         _, manifest_path = tiny_run
@@ -486,8 +523,10 @@ class TestCli:
         [
             ("tasks:\n  deviation_windows: 0\n", "tasks.deviation_windows"),
             ("drive:\n  seed: -1\n", "drive.seed"),
+            ("drive:\n  washout: -3\n", "drive.washout"),
+            ("drive:\n  tmi_cap: -1\n", "drive.tmi_cap"),
         ],
-        ids=["deviation_windows", "seed"],
+        ids=["deviation_windows", "seed", "washout", "tmi_cap"],
     )
     def test_out_of_range_value_rejected_before_running(self, tmp_path, text, key):
         conf = write_yaml(tmp_path, "preset: fig4\nmodel:\n  n: 3\n" + text)
@@ -496,8 +535,19 @@ class TestCli:
         assert key in cli_error(["run", "--config", str(conf), "--out", str(out)])
         assert not out.exists()
 
+    def test_non_string_operator_label_rejected(self, tmp_path):
+        conf = write_yaml(tmp_path, "tasks:\n  otoc: [{w: 3, v: z1}]\n")
+        message = cli_error(["validate", "--config", str(conf)])
+        assert message.startswith("tasks.otoc: operator label must be a string")
+
     def test_negative_seed_override_rejected(self, tmp_path):
         conf = write_yaml(tmp_path, "model:\n  n: 3\n")
         out = str(tmp_path / "out")
         args = ["run", "--config", str(conf), "--seed", "-1", "--out", out]
         assert "drive.seed" in cli_error(args)
+
+    def test_negative_tmi_cap_override_rejected(self, tmp_path):
+        conf = write_yaml(tmp_path, "model:\n  n: 3\n")
+        out = str(tmp_path / "out")
+        args = ["run", "--config", str(conf), "--tmi-cap", "-2", "--out", out]
+        assert "drive.tmi_cap must be >= 0, got -2" in cli_error(args)

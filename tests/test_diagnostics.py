@@ -9,26 +9,26 @@ from hypothesis import strategies as st
 from helpers import (
     expm_drive,
     heisenberg,
+    input_state,
     propagator,
     random_density,
     register_ensemble,
     sample_state,
+    tmi,
+    von_neumann_entropy,
 )
 from qrp.diagnostics import (
     CHUNK_BYTES,
     OtocSpec,
     TmiSpec,
     correlation_curve,
-    dynamical_correlation,
-    otoc,
     otoc_curve,
-    tmi,
     tmi_curve,
 )
 from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
 from qrp.hamiltonian import CHAOTIC, IsingParams, spectral_model
 from qrp.pauli import PauliString, build_dense
-from qrp.states import input_state, partial_trace
+from qrp.states import partial_trace
 
 
 def make_register_mean(s_vals, rests):
@@ -92,7 +92,7 @@ class TestDynamicalCorrelation:
     def test_equal_time_autocorrelation_is_one(self, chaotic3):
         rng = np.random.default_rng(30)
         ensemble = make_ensemble(rng, chaotic3)
-        value = dynamical_correlation(ensemble, 1, chaotic3, 0.0)
+        value = correlation_curve(ensemble, 1, chaotic3, [0.0])[0]
         assert abs(value - 1.0) < 1e-10
 
     def test_matches_per_snapshot_average(self, chaotic3):
@@ -107,7 +107,7 @@ class TestDynamicalCorrelation:
                 for i in range(ensemble.n_samples)
             ]
         )
-        got = dynamical_correlation(ensemble, 2, chaotic3, tau)
+        got = correlation_curve(ensemble, 2, chaotic3, [tau])[0]
         assert abs(got - oracle) < 1e-10
 
     def test_curve_matches_pointwise(self, chaotic3):
@@ -116,7 +116,7 @@ class TestDynamicalCorrelation:
         taus = np.array([0.0, 0.4, 1.1])
         curve = correlation_curve(ensemble, 3, chaotic3, taus)
         for m, tau in enumerate(taus):
-            point = dynamical_correlation(ensemble, 3, chaotic3, float(tau))
+            point = correlation_curve(ensemble, 3, chaotic3, [tau])[0]
             assert abs(curve[m] - point) < 1e-12
 
     def test_bounded_modulus(self, chaotic3):
@@ -130,15 +130,15 @@ class TestOtoc:
     def test_commuting_pair_at_zero_time(self, chaotic3):
         rng = np.random.default_rng(34)
         ensemble = make_ensemble(rng, chaotic3)
-        value = otoc(ensemble, OtocSpec.of("z2", "z1"), chaotic3, 0.0)
+        value = otoc_curve(ensemble, OtocSpec.of("z2", "z1"), chaotic3, [0.0])[0].real
         assert abs(value - 1.0) < 1e-12
 
     def test_identity_v_gives_one(self, chaotic3):
         rng = np.random.default_rng(35)
         ensemble = make_ensemble(rng, chaotic3)
         spec = OtocSpec(w=PauliString.from_terms({2: "z"}), v=PauliString())
-        for tau in (0.0, 0.8, 2.3):
-            assert abs(otoc(ensemble, spec, chaotic3, tau) - 1.0) < 1e-10
+        for value in otoc_curve(ensemble, spec, chaotic3, [0.0, 0.8, 2.3]).real:
+            assert abs(value - 1.0) < 1e-10
 
     def test_matches_brute_force_trace(self, chaotic3):
         rng = np.random.default_rng(36)
@@ -150,10 +150,11 @@ class TestOtoc:
         v = build_dense(spec.v, 4)
         mean = make_register_mean(ensemble.sample_inputs, ensemble.sample_rest)
         oracle = np.trace(mean @ w_tau @ v @ w_tau @ v)
-        assert abs(otoc(ensemble, spec, chaotic3, tau) - oracle.real) < 1e-10
+        value = otoc_curve(ensemble, spec, chaotic3, [tau])[0].real
+        assert abs(value - oracle.real) < 1e-10
 
     def test_chaotic_n7_matches_expm_oracle(self):
-        """Pins ``otoc`` at N = 7 for the times acceptance criterion 04 reads.
+        """Pins ``otoc_curve`` at N = 7 for the times criterion 04 reads.
 
         tau = grid[-1] (free half) and two points of grid + 2 t_in (chaotic
         half).  The oracle builds the full-register Hamiltonian from Kronecker
@@ -191,7 +192,8 @@ class TestOtoc:
                 u = scipy.linalg.expm(-1j * float(tau) * ham)
                 w_tau = u.conj().T @ w @ u
                 oracle = np.trace(mixed @ w_tau @ v @ w_tau @ v).real
-                assert abs(otoc(ensemble, spec, model, float(tau)) - oracle) < 1e-10
+                value = otoc_curve(ensemble, spec, model, [tau])[0].real
+                assert abs(value - oracle) < 1e-10
 
     @pytest.mark.parametrize("n, w, v", [(2, "x1", "x1"), (4, "x0*z3", "y0*x1")])
     def test_imaginary_part_matches_expm_oracle(self, n, w, v):
@@ -262,8 +264,7 @@ class TestTmi:
             TmiSpec(a=(-1,), b=(2,), c=(3,))
 
     def test_matches_direct_entropy_sum(self):
-        from qrp.states import von_neumann_entropy as s_vn
-
+        s_vn = von_neumann_entropy
         rng = np.random.default_rng(40)
         rho = random_density(rng, 16)
         spec = TmiSpec(a=(0,), b=(2,), c=(3,))

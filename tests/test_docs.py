@@ -1,0 +1,48 @@
+"""The README's library sketch runs as written, and the source keeps its
+line-length limit (checked with the standard library; no linter needed)."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+MAX_LINE = 88
+
+
+def readme_sketch() -> str:
+    """The Python block under the README's "Library sketch" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library sketch", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_readme_sketch_runs():
+    # As written, except for a tiny drive at N = 4 in place of the
+    # production-scale defaults.
+    code = readme_sketch()
+    code = code.replace("qrp.IsingParams(n=7,", "qrp.IsingParams(n=4,")
+    code = code.replace(
+        "qrp.DriveConfig()",
+        "qrp.DriveConfig(n_grid=3, n_washout=4, n_train=6, n_test=6, tmi_cap=2)",
+    )
+    assert "n=4" in code and "n_grid=3" in code
+    names: dict = {}
+    exec(compile(code, "README.md", "exec"), names)
+    cfg = names["cfg"]
+    assert names["curve"].r2.shape == (cfg.n_grid,)
+    for key in ("corr", "otocs", "tmis"):
+        assert names[key].shape == (cfg.n_grid,), key
+        assert np.all(np.isfinite(names[key])), key
+
+
+def test_source_lines_fit():
+    long = [
+        f"{path.name}:{number}: {len(line)} characters"
+        for path in sorted((ROOT / "src" / "qrp").glob("*.py"))
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if len(line) > MAX_LINE
+    ]
+    assert not long, "\n".join(long)

@@ -250,21 +250,21 @@ class TestRunDrive:
             (skewed, 6, r"interval 6 \(train\): Hermiticity residue 1\.000e-03"),
             (good * np.nan, 9, r"interval 9 \(test\): trace drift nan"),
         ]
+        scratch = np.empty(3 * 4)
         for rest, k, message in cases:
             with pytest.raises(DriveError, match=message):
-                qrp.driver._state_health(rest, k, cfg)
-        assert qrp.driver._state_health(good, 0, cfg) == (0.0, 0.0)
+                qrp.driver._state_health(rest, k, cfg, scratch)
+        assert qrp.driver._state_health(good, 0, cfg, scratch) == (0.0, 0.0)
 
     def test_state_health_with_scratch_buffer(self):
+        # The scratch buffer's previous content (NaN here) never leaks into
+        # the figures, in any phase.
         cfg = small_config()
         rest = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
         rest[0, 3] = 1e-9j
         scratch = np.full(3 * 16, np.nan)
         for k in (0, 5, 12):
-            assert qrp.driver._state_health(rest, k, cfg, scratch) == qrp.driver._state_health(
-                rest, k, cfg
-            )
-        assert qrp.driver._state_health(rest, 0, cfg, scratch)[1] == 1e-9
+            assert qrp.driver._state_health(rest, k, cfg, scratch) == (0.0, 1e-9)
 
     def test_no_readouts(self):
         # 20 stored rests against 2 grid times: with no operators the

@@ -5,20 +5,16 @@ from helpers import (
     expectation,
     initial_state,
     inject_input,
+    input_state,
     purity,
     random_density,
     random_hermitian,
     random_pure,
+    von_neumann_entropy,
 )
 from qrp.hamiltonian import IsingParams, spectral_model
 from qrp.pauli import PauliString
-from qrp.states import (
-    input_state,
-    pack_hermitian,
-    partial_trace,
-    unpack_hermitian,
-    von_neumann_entropy,
-)
+from qrp.states import pack_hermitian, partial_trace, unpack_hermitian
 
 
 def bell_pair():
