@@ -132,7 +132,7 @@ class TaskSpec:
 # coercion of the file value), in file and manifest order.
 SCHEMA: dict[str, tuple[type, tuple]] = {
     "model": (IsingParams, (
-        ("n", "n", _as_int),
+        ("n", "n", partial(_as_int, low=1)),
         ("j", "j", _as_float),
         ("h_x", "h_x", _as_float),
         ("h_z", "h_z", _as_float),
@@ -141,8 +141,8 @@ SCHEMA: dict[str, tuple[type, tuple]] = {
         ("t_in", "t_in", _as_float),
         ("n_grid", "n_grid", _as_int),
         ("washout", "n_washout", partial(_as_int, low=0)),
-        ("train", "n_train", _as_int),
-        ("test", "n_test", _as_int),
+        ("train", "n_train", partial(_as_int, low=2)),
+        ("test", "n_test", partial(_as_int, low=2)),
         ("seed", "seed", partial(_as_int, low=0)),
         ("tmi_cap", "tmi_cap", partial(_as_int, low=0)),
     )),

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import StateEnsemble, split_qubit0
-from .hamiltonian import SpectralModel
-from .pauli import PauliString, as_pauli_string, build_dense
+from .hamiltonian import SpectralModel, eigenbasis_operator
+from .pauli import PauliString, as_pauli_string, signed_permutation
 from .states import partial_trace, spectrum_entropy
 
 CHUNK_BYTES = 8 * 2**20
@@ -83,12 +83,6 @@ def _tau_chunks(n_taus: int, bytes_per_tau: int) -> list[slice]:
     return [slice(i, min(i + step, n_taus)) for i in range(0, n_taus, step)]
 
 
-def _z_diagonal(qubit: int, n: int) -> np.ndarray:
-    """Diagonal of sigma^z on register qubit ``qubit`` (chain position qubit-1)."""
-    bits = (np.arange(2**n) >> (n - qubit)) & 1
-    return 1.0 - 2.0 * bits
-
-
 def correlation_curve(
     ensemble: StateEnsemble,
     qubit: int,
@@ -106,9 +100,11 @@ def correlation_curve(
     if not 1 <= qubit <= model.n:
         raise ValueError(f"correlation qubit {qubit} outside chain 1..{model.n}")
     vecs = model.eigenvectors
-    vecs_h = vecs.conj().T
-    seed = vecs_h @ (ensemble.chain_mean * _z_diagonal(1, model.n)) @ vecs
-    weights = seed * ((vecs_h * _z_diagonal(qubit, model.n)) @ vecs).T
+    # sigma^z_1 is diagonal, so its sign vector is its diagonal
+    z1 = signed_permutation(PauliString.from_terms({0: "z"}), model.n)[1]
+    seed = vecs.conj().T @ (ensemble.chain_mean * z1) @ vecs
+    zi = PauliString.from_terms({qubit - 1: "z"})
+    weights = seed * eigenbasis_operator(model, zi).T
     taus = np.asarray(taus, dtype=float)
     out = np.zeros(len(taus), dtype=complex)
     for chunk in _tau_chunks(len(taus), 2 * model.dim * _COMPLEX_BYTES):
@@ -140,10 +136,9 @@ def otoc_curve(
     v0, v_chain = split_qubit0(spec.v, n)
     sign = -1.0 if "i" not in (w0, v0) and w0 != v0 else 1.0
     vecs = model.eigenvectors
-    vecs_h = vecs.conj().T
-    state = vecs_h @ ensemble.chain_mean @ vecs
-    w_eig = vecs_h @ build_dense(w_chain, n) @ vecs
-    v_eig = vecs_h @ build_dense(v_chain, n) @ vecs
+    state = vecs.conj().T @ ensemble.chain_mean @ vecs
+    w_eig = eigenbasis_operator(model, w_chain)
+    v_eig = eigenbasis_operator(model, v_chain)
     taus = np.asarray(taus, dtype=float)
     values = np.zeros(len(taus), dtype=complex)
     for chunk in _tau_chunks(len(taus), 3 * model.dim**2 * _COMPLEX_BYTES):

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SpectralModel, chain_propagator
-from .pauli import PauliString, as_pauli_string, minus_eigenspace
+from .hamiltonian import SpectralModel, chain_propagator, eigenbasis_operator
+from .pauli import PauliString, as_pauli_string, minus_eigenspace, minus_rows
 from .states import pack_hermitian, unpack_hermitian
 
 # Stored rests per read-out chunk, in bytes.  A chunk rebuilds the Heisenberg
@@ -60,12 +60,11 @@ class DriveConfig:
     def __post_init__(self):
         if not self.t_in > 0:
             raise ValueError(f"t_in must be positive, got {self.t_in}")
-        if self.n_grid < 1:
-            raise ValueError(f"n_grid must be >= 1, got {self.n_grid}")
-        if self.n_train < 2 or self.n_test < 2:
-            raise ValueError("training and testing phases need at least 2 steps")
-        if self.n_washout < 0 or self.tmi_cap < 0:
-            raise ValueError("counts must be nonnegative")
+        lows = {"n_grid": 1, "n_washout": 0, "n_train": 2, "n_test": 2, "tmi_cap": 0}
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
     @property
     def n_total(self) -> int:
@@ -209,7 +208,8 @@ class _Readout:
         self.model = model
         self.grid = grid
         self.axes = [axis0 for axis0, _ in split]
-        self.spaces = [minus_eigenspace(chain, model.n) for _, chain in split]
+        self.chains = [chain for _, chain in split]
+        self.spaces = [minus_eigenspace(chain, model.n) for chain in self.chains]
         self.ops_eig_t: list[np.ndarray] | None = None
         # Column j of the per-row weights goes with block j; ``starts`` marks
         # the first block of each operator.
@@ -235,8 +235,6 @@ class _Readout:
     def _heisenberg(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
         model = self.model
         h = model.dim // 2
-        vecs = model.eigenvectors
-        vecs_h = vecs.conj().T
         weights = self._block_weights(s)
         # Tr[rest] times the identity parts: s + (1 - s) for axis i,
         # s - (1 - s) for z, none for x and y.
@@ -248,7 +246,7 @@ class _Readout:
         heis = np.empty((len(self.kinds), h * h))
         minus = np.empty((2, h, model.dim), dtype=complex)
         for m, tau in enumerate(self.grid):
-            u = (vecs * np.exp(-1j * model.eigenvalues * tau)) @ vecs_h
+            u = chain_propagator(model, tau)
             j = 0
             for axis0, space in zip(self.axes, self.spaces):
                 d = minus_rows(u, space, minus)
@@ -279,15 +277,13 @@ class _Readout:
         v0, v1 = vecs[:h], vecs[h:]
         v0_h, v1_h = v0.conj().T, v1.conj().T
         if self.ops_eig_t is None:
-            # V^dag O V = I - 2 W^dag W with W = B^dag V, transposed so an
-            # elementwise product implements Tr[state * op].  Built
-            # C-contiguous: with a transposed view of V^dag O V, a row took
-            # 59 ms instead of 45 ms at N = 9 (appA read-outs, 2 cores).
-            minus = np.empty((2, h, model.dim), dtype=complex)
-            self.ops_eig_t = []
-            for space in self.spaces:
-                w = minus_rows(vecs, space, minus)
-                self.ops_eig_t.append(np.eye(model.dim) - 2.0 * (w.T @ w.conj()))
+            # (V^dag O V)^T, so an elementwise product implements
+            # Tr[state * op]: for Hermitian V^dag O V that is its conjugate,
+            # taken in place and so C-contiguous.  With a transposed view, a
+            # row took 59 ms instead of 45 ms at N = 9 (appA read-outs, 2 cores).
+            self.ops_eig_t = [eigenbasis_operator(model, c) for c in self.chains]
+            for op in self.ops_eig_t:
+                np.conj(op, out=op)
         phases = np.exp(-1j * np.outer(self.grid, model.eigenvalues))  # (n_grid, dim)
         phases_ct = phases.conj().T
         axes = set(self.axes)
@@ -307,24 +303,6 @@ class _Readout:
                 tmp = (weighted[axis0] * op_t) @ phases_ct  # (dim, n_grid)
                 out[o, row] = np.einsum("ma,am->m", phases, tmp).real
         return out
-
-
-def minus_rows(u: np.ndarray, space, out: np.ndarray) -> np.ndarray:
-    """D = B^dag u for ``space = pauli.minus_eigenspace(...)``.
-
-    ``out`` holds two h x 2h buffers: D is written into the first rows of
-    ``out[0]`` (one row per basis vector of B), and ``out[1]`` holds the
-    partner rows of a non-diagonal string.
-    """
-    rows, partners, phases = space
-    d, moved = out[0, : len(rows)], out[1, : len(rows)]
-    np.take(u, rows, axis=0, out=d, mode="clip")
-    if partners is not None:
-        np.take(u, partners, axis=0, out=moved, mode="clip")
-        moved *= phases[:, None]
-        d -= moved
-        d *= np.sqrt(0.5)
-    return d
 
 
 def _state_health(

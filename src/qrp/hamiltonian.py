@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, signed_permutation
+from .pauli import PauliString, minus_eigenspace, minus_rows, signed_permutation
 
 
 @dataclass(frozen=True)
@@ -134,3 +134,18 @@ def chain_propagator(model: SpectralModel, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be >= 0, got {tau}")
     phases = np.exp(-1j * model.eigenvalues * tau)
     return (model.eigenvectors * phases) @ model.eigenvectors.conj().T
+
+
+def eigenbasis_operator(model: SpectralModel, chain: PauliString) -> np.ndarray:
+    """V^dag O V for a Pauli string O on the chain, V the eigenvectors.
+
+    With B a basis of the -1 eigenspace of O (``pauli.minus_eigenspace``),
+    O = I - 2 B B^dag, so the result is I - 2 W^dag W with W = B^dag V, a
+    row gather of half the size.  It is Hermitian.
+    """
+    minus = np.empty((2, model.dim // 2, model.dim), dtype=complex)
+    w = minus_rows(model.eigenvectors, minus_eigenspace(chain, model.n), minus)
+    op = w.conj().T @ w
+    op *= -2.0
+    op.flat[:: model.dim + 1] += 1.0
+    return op

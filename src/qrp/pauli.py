@@ -1,28 +1,20 @@
-"""Symbolic Pauli strings and their dense matrix realizations.
+"""Symbolic Pauli strings and their action as row operations.
 
 A Pauli string is a tensor product of single-site Pauli operators on a qubit
 register.  Qubit 0 is the most significant bit of the computational-basis
-index, so ``build_dense`` expands site by site with ``np.kron`` in ascending
-site order.
+index.  Strings act as signed row permutations and row gathers over their
+-1 eigenspaces; no dense matrix of a string is built.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Mapping
 
 import numpy as np
 
 AXES = ("x", "y", "z")
-
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 _TOKEN = re.compile(r"^([xyz])([0-9]+)$")
 
@@ -108,27 +100,10 @@ def as_pauli_string(op: "PauliString | str") -> PauliString:
     return parse_operator_label(op)
 
 
-def build_dense(p: PauliString, register_size: int) -> np.ndarray:
-    """Dense ``2**register_size`` matrix of ``p``; qubit 0 is the MSB."""
-    if register_size < 0:
-        raise ValueError(f"register_size must be >= 0, got {register_size}")
-    if p.terms and max(p.sites) >= register_size:
-        raise ValueError(
-            f"operator {p.label()!r} uses site {max(p.sites)} outside "
-            f"register of {register_size} qubits"
-        )
-    factors = [IDENTITY_2] * register_size
-    for site, axis in p.terms:
-        factors[site] = PAULI[axis]
-    if not factors:
-        return np.eye(1, dtype=complex)
-    return reduce(np.kron, factors)
-
-
 def signed_permutation(
     p: PauliString, register_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(perm, sign)`` with ``build_dense(p, n) @ a == sign[:, None] * a[perm]``.
+    """``(perm, sign)`` such that ``p`` maps ``a`` to ``sign[:, None] * a[perm]``.
 
     A Pauli string sends each basis state to one basis state times a phase,
     so applying it from the left is a row gather with a phase per row.
@@ -172,3 +147,21 @@ def minus_eigenspace(
         return np.flatnonzero(sign.real < 0), None, None
     rows = np.flatnonzero(index < perm)
     return rows, perm[rows], sign[rows]
+
+
+def minus_rows(u: np.ndarray, space, out: np.ndarray) -> np.ndarray:
+    """D = B^dag u for ``space = minus_eigenspace(...)``.
+
+    ``out`` holds two h x 2h buffers: D is written into the first rows of
+    ``out[0]`` (one row per basis vector of B), and ``out[1]`` holds the
+    partner rows of a non-diagonal string.
+    """
+    rows, partners, phases = space
+    d, moved = out[0, : len(rows)], out[1, : len(rows)]
+    np.take(u, rows, axis=0, out=d, mode="clip")
+    if partners is not None:
+        np.take(u, partners, axis=0, out=moved, mode="clip")
+        moved *= phases[:, None]
+        d -= moved
+        d *= np.sqrt(0.5)
+    return d

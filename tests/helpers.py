@@ -4,6 +4,7 @@ test suite."""
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -11,8 +12,34 @@ import scipy.linalg
 from qrp.diagnostics import TmiSpec, _tmi_of_joint
 from qrp.driver import StateEnsemble
 from qrp.hamiltonian import SpectralModel, chain_propagator
-from qrp.pauli import PauliString, build_dense
+from qrp.pauli import PauliString
 from qrp.states import n_qubits_of, partial_trace, spectrum_entropy
+
+PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def build_dense(p: PauliString, register_size: int) -> np.ndarray:
+    """Dense ``2**register_size`` matrix of ``p`` from Kronecker products,
+    site by site in ascending order (qubit 0 is the MSB): the oracle for the
+    row operations of ``qrp.pauli``."""
+    if register_size < 0:
+        raise ValueError(f"register_size must be >= 0, got {register_size}")
+    if p.terms and max(p.sites) >= register_size:
+        raise ValueError(
+            f"operator {p.label()!r} uses site {max(p.sites)} outside "
+            f"register of {register_size} qubits"
+        )
+    factors = [IDENTITY_2] * register_size
+    for site, axis in p.terms:
+        factors[site] = PAULI[axis]
+    if not factors:
+        return np.eye(1, dtype=complex)
+    return reduce(np.kron, factors)
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -158,15 +185,11 @@ def sample_state(ensemble: StateEnsemble, index: int) -> np.ndarray:
 def register_hamiltonian(n: int, h_x: float, h_z: float) -> np.ndarray:
     """Chain Hamiltonian on the full register, qubit 0 untouched, built from
     Kronecker products of 2x2 Paulis (independent of ``build_hamiltonian``)."""
-    paulis = {
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
 
     def on_sites(ops):
         out = np.ones((1, 1), dtype=complex)
         for q in range(n + 1):
-            out = np.kron(out, paulis[ops[q]] if q in ops else np.eye(2))
+            out = np.kron(out, PAULI[ops[q]] if q in ops else np.eye(2))
         return out
 
     ham = sum(-on_sites({q: "x", q + 1: "x"}) for q in range(1, n))

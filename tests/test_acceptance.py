@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    build_dense,
     evolve,
     expectation,
     input_state,
@@ -42,7 +43,7 @@ from qrp.hamiltonian import (
     IsingParams,
     spectral_model,
 )
-from qrp.pauli import PauliString, build_dense
+from qrp.pauli import PauliString
 from qrp.regression import data_deviation, r2_score, stm_curve, train_weights
 
 N_CHAIN = 7

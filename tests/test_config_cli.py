@@ -152,6 +152,21 @@ class TestParseConfig:
             build_config(*blocks)
 
     @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (({"n": 0}, {}, None, {}), "model.n must be >= 1, got 0"),
+            (({}, {"washout": -1}, None, {}), "drive.washout must be >= 0, got -1"),
+            (({}, {"train": 1}, None, {}), "drive.train must be >= 2, got 1"),
+            (({}, {"test": 1}, None, {}), "drive.test must be >= 2, got 1"),
+            (({}, {"tmi_cap": -1}, None, {}), "drive.tmi_cap must be >= 0, got -1"),
+        ],
+        ids=["n", "washout", "train", "test", "tmi_cap"],
+    )
+    def test_library_path_names_out_of_range_field(self, blocks, message):
+        with pytest.raises(ConfigError, match=message):
+            build_config(*blocks)
+
+    @pytest.mark.parametrize(
         "tasks, key",
         [
             ({"stm_delays": [0, 0]}, "stm_delays"),
@@ -525,14 +540,25 @@ class TestCli:
             ("drive:\n  seed: -1\n", "drive.seed"),
             ("drive:\n  washout: -3\n", "drive.washout"),
             ("drive:\n  tmi_cap: -1\n", "drive.tmi_cap"),
+            ("drive:\n  train: 1\n", "drive.train"),
+            ("drive:\n  test: 1\n", "drive.test"),
         ],
-        ids=["deviation_windows", "seed", "washout", "tmi_cap"],
+        ids=["deviation_windows", "seed", "washout", "tmi_cap", "train", "test"],
     )
     def test_out_of_range_value_rejected_before_running(self, tmp_path, text, key):
         conf = write_yaml(tmp_path, "preset: fig4\nmodel:\n  n: 3\n" + text)
         assert key in cli_error(["validate", "--config", str(conf)])
         out = tmp_path / "out"
         assert key in cli_error(["run", "--config", str(conf), "--out", str(out)])
+        assert not out.exists()
+
+    def test_zero_chain_length_rejected_before_running(self, tmp_path):
+        conf = write_yaml(tmp_path, "model:\n  n: 0\n")
+        message = "model.n must be >= 1, got 0"
+        assert message in cli_error(["validate", "--config", str(conf)])
+        out = tmp_path / "out"
+        args = ["run", "--preset", "fig3-free", "--n", "0", "--out", str(out)]
+        assert message in cli_error(args)
         assert not out.exists()
 
     def test_non_string_operator_label_rejected(self, tmp_path):

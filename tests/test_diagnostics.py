@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    build_dense,
     expm_drive,
     heisenberg,
     input_state,
@@ -27,7 +28,7 @@ from qrp.diagnostics import (
 )
 from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
 from qrp.hamiltonian import CHAOTIC, IsingParams, spectral_model
-from qrp.pauli import PauliString, build_dense
+from qrp.pauli import PauliString
 from qrp.states import partial_trace
 
 

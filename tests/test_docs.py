@@ -1,5 +1,6 @@
 """The README's library sketch runs as written, and the source keeps its
-line-length limit (checked with the standard library; no linter needed)."""
+line-length limit and its one Pauli-operator representation (checked with
+the standard library; no linter needed)."""
 
 import re
 from pathlib import Path
@@ -46,3 +47,20 @@ def test_source_lines_fit():
         if len(line) > MAX_LINE
     ]
     assert not long, "\n".join(long)
+
+
+def test_one_pauli_representation():
+    # Chain operators are row gathers over -1 eigenspaces
+    # (``hamiltonian.eigenbasis_operator``); the Kronecker builder is a test
+    # oracle in ``tests/helpers.py``, and no second realization comes back.
+    banned = ("np.kron", "build_dense", "_z_diagonal")
+    found = [
+        f"{path.name}:{number}: {word}"
+        for path in sorted((ROOT / "src" / "qrp").glob("*.py"))
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        )
+        for word in banned
+        if word in line
+    ]
+    assert not found, "\n".join(found)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import qrp.driver
 from helpers import (
+    build_dense,
     expm_drive,
     initial_state,
     inject_input,
@@ -24,8 +25,9 @@ from qrp.driver import (
     generate_inputs,
     run_drive,
 )
-from qrp.hamiltonian import IsingParams, spectral_model
-from qrp.pauli import PauliString, build_dense, minus_eigenspace, parse_operator_label
+from qrp.diagnostics import correlation_curve
+from qrp.hamiltonian import CHAOTIC, FREE_FERMION, IsingParams, spectral_model
+from qrp.pauli import PauliString, minus_eigenspace, parse_operator_label
 from qrp.states import partial_trace
 
 ORDERS = {"heisenberg": True, "eigenbasis": False}
@@ -139,6 +141,20 @@ class TestDriveConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             DriveConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "name, value, low",
+        [
+            ("n_grid", 0, 1),
+            ("n_washout", -1, 0),
+            ("n_train", 1, 2),
+            ("n_test", 1, 2),
+            ("tmi_cap", -1, 0),
+        ],
+    )
+    def test_range_error_names_count(self, name, value, low):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {value}$"):
+            DriveConfig(**{name: value})
 
 
 class TestRunDrive:
@@ -348,6 +364,30 @@ class TestAgainstExpmDrive:
             assert ensemble.n_samples == len(want_rests)
             if want_rests:
                 assert np.max(np.abs(ensemble.sample_rest - np.array(want_rests))) < 1e-10
+
+
+class TestCorrelationsAreReadouts:
+    """The injected pair has z0 z1 = 1, so <z1(0) z_i(tau)> on the testing
+    states is the test-row mean of the recorded z0*z_i read-out: the drive
+    kernel and ``correlation_curve`` must agree, in both contraction orders."""
+
+    @pytest.mark.parametrize("fields", [FREE_FERMION, CHAOTIC], ids=["free", "chaotic"])
+    @pytest.mark.parametrize("order", list(ORDERS))
+    def test_correlation_is_mean_readout(self, fields, order):
+        model = spectral_model(IsingParams(5, *fields))
+        cfg = DriveConfig(
+            t_in=2.0, n_grid=5, n_washout=10, n_train=6, n_test=12, seed=7, tmi_cap=0
+        )
+        labels = [f"z0*z{i}" for i in range(1, model.n + 1)]
+        inputs = generate_inputs(cfg.seed, cfg.n_total)
+        with pytest.MonkeyPatch.context() as mp:
+            ran = force_order(mp, order, model.n, rows=5)
+            record, ensemble = run_drive(cfg, model, labels, inputs)
+        assert set(ran) == {order}
+        for i, label in enumerate(labels, start=1):
+            want = record.test_values(label).mean(axis=0)
+            got = correlation_curve(ensemble, i, model, cfg.grid)
+            assert np.max(np.abs(got - want)) < 1e-12, label
 
 
 class TestMinusRows:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import evolve, propagator, random_density, random_hermitian, register_hamiltonian
+from helpers import (
+    build_dense,
+    evolve,
+    propagator,
+    random_density,
+    random_hermitian,
+    register_hamiltonian,
+)
 from qrp.hamiltonian import (
     CHAOTIC,
     FREE_FERMION,
@@ -13,7 +20,7 @@ from qrp.hamiltonian import (
     diagonalize,
     spectral_model,
 )
-from qrp.pauli import PauliString, build_dense
+from qrp.pauli import PauliString
 
 
 def params_for(n, fields, j=1.0):

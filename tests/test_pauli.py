@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import build_dense
 from qrp.pauli import (
     OperatorLabelError,
     PauliString,
-    build_dense,
     minus_eigenspace,
     parse_operator_label,
     signed_permutation,

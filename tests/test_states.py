@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    build_dense,
     expectation,
     initial_state,
     inject_input,
@@ -135,8 +136,6 @@ class TestExpectation:
         rng = np.random.default_rng(16)
         rho = random_density(rng, 8)
         op = PauliString.from_terms({0: "x", 2: "z"})
-        from qrp.pauli import build_dense
-
         dense = build_dense(op, 3)
         oracle = sum(
             rho[i, j] * dense[j, i] for i in range(8) for j in range(8)
