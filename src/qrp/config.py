@@ -61,9 +61,11 @@ def _as_int(value: Any, where: str, low: int | None = None) -> int:
     return value
 
 
-def _as_float(value: Any, where: str) -> float:
+def _as_float(value: Any, where: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{where} must be positive, got {value}")
     return float(value)
 
 
@@ -133,13 +135,13 @@ class TaskSpec:
 SCHEMA: dict[str, tuple[type, tuple]] = {
     "model": (IsingParams, (
         ("n", "n", partial(_as_int, low=1)),
-        ("j", "j", _as_float),
+        ("j", "j", partial(_as_float, positive=True)),
         ("h_x", "h_x", _as_float),
         ("h_z", "h_z", _as_float),
     )),
     "drive": (DriveConfig, (
-        ("t_in", "t_in", _as_float),
-        ("n_grid", "n_grid", _as_int),
+        ("t_in", "t_in", partial(_as_float, positive=True)),
+        ("n_grid", "n_grid", partial(_as_int, low=1)),
         ("washout", "n_washout", partial(_as_int, low=0)),
         ("train", "n_train", partial(_as_int, low=2)),
         ("test", "n_test", partial(_as_int, low=2)),
@@ -277,7 +279,7 @@ def build_config(
     for d in tasks.stm_delays:
         if d < 0 or d > drive.n_washout:
             raise ConfigError(
-                f"stm delay {d} outside [0, washout={drive.n_washout}]"
+                f"tasks.stm_delays: delay {d} outside [0, washout={drive.n_washout}]"
             )
     for q in tasks.correlations:
         if not 1 <= q <= model.n:

@@ -2,17 +2,18 @@
 two-time spin correlations, out-of-time-order correlators, and tripartite
 mutual information.
 
-Everything is evaluated on the 2**N chain in the Hamiltonian eigenbasis,
-where every grid time is a diagonal phase, and qubit 0 (which never evolves)
-is contracted out analytically, as in the drive.  Correlators and OTOCs are
+Everything is evaluated on the 2**N chain, with qubit 0 (which never evolves)
+contracted out analytically, as in the drive.  Correlators and OTOCs are
 linear in the state, so averaging over the testing inputs reduces exactly to
-a trace against the qubit-0-traced mean state.  Entropies are not, so the
+a trace against the drive's packed mean blocks: a correlator is a read-out
+of them, and OTOCs use them in the Hamiltonian eigenbasis, where every grid
+time is a diagonal phase.  Entropies are not linear, so the
 mutual-information curve averages per-snapshot values.
 
-Intermediates that grow with the number of grid times are built one chunk of
-times at a time, each chunk sized to stay within ``CHUNK_BYTES`` (or one time
-per chunk where a single time needs more), so a curve holds a few 2**N x 2**N
-matrices plus one chunk however long the grid is.
+OTOC and TMI intermediates that grow with the number of grid times are built
+one chunk of times at a time, each chunk sized to stay within ``CHUNK_BYTES``
+(or one time per chunk where a single time needs more), so a curve holds a
+few 2**N x 2**N matrices plus one chunk however long the grid is.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import StateEnsemble, split_qubit0
+from .driver import StateEnsemble, _Readout, split_qubit0
 from .hamiltonian import SpectralModel, eigenbasis_operator
-from .pauli import PauliString, as_pauli_string, signed_permutation
-from .states import partial_trace, spectrum_entropy
+from .pauli import PauliString, as_pauli_string
+from .states import partial_trace, spectrum_entropy, unpack_hermitian
 
 CHUNK_BYTES = 8 * 2**20
 _COMPLEX_BYTES = 16
@@ -91,26 +92,15 @@ def correlation_curve(
 ) -> np.ndarray:
     """Two-time correlation Tr[rho_mean sigma^z_1 sigma^z_qubit(tau)] over a grid.
 
-    The time-0 operator sits leftmost; the real part is what gets plotted and
-    the modulus feeds the deviation criterion.  Both operators act on the
-    chain, so the trace runs against the chain mean state sigma, and in the
-    eigenbasis the whole curve is one phase contraction
-    sum_ab P_ab exp(-i (E_a - E_b) tau) with P = (V^dag sigma Z_1 V) o (V^dag Z_i V)^T.
+    The injected pair has z0 z1 = 1, so this is the test-row mean of the
+    ``z0*z_qubit`` read-out, and real.  The read-out kernel evaluates it on
+    the two packed mean blocks as rows (s = 1, first block) and (s = 0,
+    second block), whose values sum to the mean.
     """
     if not 1 <= qubit <= model.n:
         raise ValueError(f"correlation qubit {qubit} outside chain 1..{model.n}")
-    vecs = model.eigenvectors
-    # sigma^z_1 is diagonal, so its sign vector is its diagonal
-    z1 = signed_permutation(PauliString.from_terms({0: "z"}), model.n)[1]
-    seed = vecs.conj().T @ (ensemble.chain_mean * z1) @ vecs
-    zi = PauliString.from_terms({qubit - 1: "z"})
-    weights = seed * eigenbasis_operator(model, zi).T
-    taus = np.asarray(taus, dtype=float)
-    out = np.zeros(len(taus), dtype=complex)
-    for chunk in _tau_chunks(len(taus), 2 * model.dim * _COMPLEX_BYTES):
-        phases = np.exp(-1j * np.outer(taus[chunk], model.eigenvalues))
-        out[chunk] = np.sum((phases @ weights) * phases.conj(), axis=1)
-    return out
+    readout = _Readout(model, [("z", PauliString.from_terms({qubit - 1: "z"}))], taus)
+    return readout(ensemble.mean_packed, np.array([1.0, 0.0]))[0].sum(axis=0)
 
 
 def otoc_curve(
@@ -135,8 +125,13 @@ def otoc_curve(
     w0, w_chain = split_qubit0(spec.w, n)
     v0, v_chain = split_qubit0(spec.v, n)
     sign = -1.0 if "i" not in (w0, v0) and w0 != v0 else 1.0
-    vecs = model.eigenvectors
-    state = vecs.conj().T @ ensemble.chain_mean @ vecs
+    # The chain mean state in the eigenbasis, V^dag sigma V: sigma is
+    # block-diagonal on qubit 1, and block a meets only V_a, the rows of V
+    # where qubit 1 is a.
+    vecs_0, vecs_1 = np.split(model.eigenvectors, 2)
+    sigma_0, sigma_1 = unpack_hermitian(ensemble.mean_packed)
+    state = vecs_0.conj().T @ (sigma_0 @ vecs_0)
+    state += vecs_1.conj().T @ (sigma_1 @ vecs_1)
     w_eig = eigenbasis_operator(model, w_chain)
     v_eig = eigenbasis_operator(model, v_chain)
     taus = np.asarray(taus, dtype=float)

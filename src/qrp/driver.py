@@ -130,17 +130,19 @@ class ReadoutRecord:
 class StateEnsemble:
     """Mean test state on the chain plus capped per-step snapshots.
 
-    ``chain_mean`` is the post-injection test state averaged over the testing
-    intervals with qubit 0 traced out; it is all that correlators and OTOCs
-    need.  Snapshots are stored at virtual time zero as ``(s_k, rho_rest)``
-    pairs, from which entropy diagnostics rebuild any reduced state exactly.
-    They stay complex: entropy diagnostics use each one once per chunk of
-    grid times, and unpacking a packed copy every time made them 20-25%
-    slower at N = 8 and 9.  The health figures are the running state's
-    largest trace drift and Hermiticity residue over the whole drive.
+    ``mean_packed`` holds the test means of s_k rest_k and (1 - s_k) rest_k,
+    packed like every stored rest: the qubit-1 blocks of the mean chain
+    state (the off-diagonal ones vanish), and all that correlators (read-out
+    rows s = 1 and s = 0) and OTOCs need.  Snapshots are stored at virtual
+    time zero as ``(s_k, rho_rest)`` pairs, from which entropy diagnostics
+    rebuild any reduced state exactly.  They stay complex: entropy
+    diagnostics use each one once per chunk of grid times, and unpacking a
+    packed copy every time made them 20-25% slower at N = 8 and 9.  The
+    health figures are the running state's largest trace drift and
+    Hermiticity residue over the whole drive.
     """
 
-    chain_mean: np.ndarray  # (2**N, 2**N)
+    mean_packed: np.ndarray  # (2, 4**(N-1)), real
     sample_inputs: np.ndarray
     sample_rest: np.ndarray  # (n_samples, 2**(N-1), 2**(N-1))
     max_trace_drift: float = 0.0
@@ -290,12 +292,17 @@ class _Readout:
         out = np.empty((len(self.axes), len(s), len(self.grid)))
         for row, (s_k, packed_row) in enumerate(zip(s, packed)):
             rest = unpack_hermitian(packed_row)
-            moved0, moved1 = rest @ v0, rest @ v1
-            weighted = {}
+            # Only halves of nonzero weight: a test-mean row has s = 1 or 0.
+            moved1 = rest @ v1 if s_k < 1.0 else None
+            weighted = dict(x=0.0, y=0.0)
             if axes & {"i", "z"}:
-                p00, p11 = s_k * (v0_h @ moved0), (1.0 - s_k) * (v1_h @ moved1)
-                weighted.update(i=p00 + p11, z=p00 - p11)
-            if axes & {"x", "y"}:
+                p00 = s_k * (v0_h @ (rest @ v0)) if s_k > 0.0 else 0.0
+                p11 = (1.0 - s_k) * (v1_h @ moved1) if s_k < 1.0 else 0.0
+                if "i" in axes:
+                    weighted["i"] = p00 + p11
+                if "z" in axes:
+                    weighted["z"] = p00 - p11
+            if axes & {"x", "y"} and 0.0 < s_k < 1.0:
                 p01 = np.sqrt(s_k * (1.0 - s_k)) * (v0_h @ moved1)
                 weighted.update(x=p01 + p01.conj().T, y=1j * (p01 - p01.conj().T))
             for o, (axis0, op_t) in enumerate(zip(self.axes, self.ops_eig_t)):
@@ -390,8 +397,8 @@ def run_drive(
     chunk = np.empty((max(1, chunk_rows), h * h))
     n_cap = min(config.tmi_cap, config.n_test)
     sample_rest = np.zeros((n_cap, h, h), dtype=complex)
-    # Sums of s_k rest_k and (1 - s_k) rest_k over the testing intervals:
-    # the qubit-1 blocks of the summed post-injection chain state.
+    # Sums of s_k rest_k and (1 - s_k) rest_k over the testing intervals,
+    # averaged once the drive ends.
     mean_packed = np.zeros((2, h * h))
     max_drift = max_herm = 0.0
 
@@ -421,10 +428,7 @@ def run_drive(
         np.copyto(side.reshape(h, 4, h), moved.reshape(4, h, h).transpose(1, 0, 2))
         rest, spare = np.matmul(side, kraus_h, out=spare), rest
 
-    blocks = unpack_hermitian(mean_packed) / config.n_test
-    chain_mean = np.zeros((model.dim, model.dim), dtype=complex)
-    chain_mean[:h, :h] = blocks[0]
-    chain_mean[h:, h:] = blocks[1]
+    mean_packed /= config.n_test
 
     record = ReadoutRecord(
         operators=labels,
@@ -436,7 +440,7 @@ def run_drive(
         inputs=inputs,
     )
     ensemble = StateEnsemble(
-        chain_mean=chain_mean,
+        mean_packed=mean_packed,
         sample_inputs=s_values[config.n_washout + config.n_train :][:n_cap].copy(),
         sample_rest=sample_rest,
         max_trace_drift=max_drift,

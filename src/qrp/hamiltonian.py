@@ -70,7 +70,6 @@ class SpectralModel:
     """Eigendecomposition of the chain Hamiltonian."""
 
     params: IsingParams
-    hamiltonian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     degenerate_ground: bool = False
@@ -116,7 +115,6 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
     degenerate = bool(energies.size > 1 and energies[1] - energies[0] <= 1e-9 * scale)
     return SpectralModel(
         params=params,
-        hamiltonian=hamiltonian,
         eigenvalues=energies,
         eigenvectors=vectors,
         degenerate_ground=degenerate,

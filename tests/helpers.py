@@ -13,7 +13,13 @@ from qrp.diagnostics import TmiSpec, _tmi_of_joint
 from qrp.driver import StateEnsemble
 from qrp.hamiltonian import SpectralModel, chain_propagator
 from qrp.pauli import PauliString
-from qrp.states import n_qubits_of, partial_trace, spectrum_entropy
+from qrp.states import (
+    n_qubits_of,
+    pack_hermitian,
+    partial_trace,
+    spectrum_entropy,
+    unpack_hermitian,
+)
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -168,12 +174,24 @@ def register_ensemble(
     sample_inputs: np.ndarray,
     sample_rest: np.ndarray,
 ) -> StateEnsemble:
-    """Ensemble from a full-register mean state, with qubit 0 contracted out."""
+    """Ensemble from a full-register post-injection mean state, with qubit 0
+    contracted out and the chain mean kept as its two packed qubit-1 blocks;
+    raises if the chain mean has off-diagonal qubit-1 blocks."""
+    chain = trace_out_qubit0(mean_state)
+    h = len(chain) // 2
+    if np.max(np.abs(chain[:h, h:]), initial=0.0) > 1e-12:
+        raise ValueError("chain mean is not block-diagonal on qubit 1")
     return StateEnsemble(
-        chain_mean=trace_out_qubit0(mean_state),
+        mean_packed=pack_hermitian(np.stack([chain[:h, :h], chain[h:, h:]])),
         sample_inputs=sample_inputs,
         sample_rest=sample_rest,
     )
+
+
+def chain_mean(ensemble: StateEnsemble) -> np.ndarray:
+    """Dense 2**N chain mean state of an ensemble: its two packed qubit-1
+    blocks on the diagonal."""
+    return scipy.linalg.block_diag(*unpack_hermitian(ensemble.mean_packed))
 
 
 def sample_state(ensemble: StateEnsemble, index: int) -> np.ndarray:

@@ -159,8 +159,18 @@ class TestParseConfig:
             (({}, {"train": 1}, None, {}), "drive.train must be >= 2, got 1"),
             (({}, {"test": 1}, None, {}), "drive.test must be >= 2, got 1"),
             (({}, {"tmi_cap": -1}, None, {}), "drive.tmi_cap must be >= 0, got -1"),
+            (({}, {"n_grid": 0}, None, {}), "drive.n_grid must be >= 1, got 0"),
+            (({}, {"t_in": 0.0}, None, {}), "drive.t_in must be positive, got 0.0"),
+            (({"j": -1.0}, {}, None, {}), "model.j must be positive, got -1.0"),
+            (
+                ({}, {"washout": 2}, None, {"stm_delays": [3]}),
+                r"tasks.stm_delays: delay 3 outside \[0, washout=2\]",
+            ),
         ],
-        ids=["n", "washout", "train", "test", "tmi_cap"],
+        ids=[
+            "n", "washout", "train", "test", "tmi_cap", "n_grid", "t_in", "j",
+            "stm_delays",
+        ],
     )
     def test_library_path_names_out_of_range_field(self, blocks, message):
         with pytest.raises(ConfigError, match=message):
@@ -542,8 +552,15 @@ class TestCli:
             ("drive:\n  tmi_cap: -1\n", "drive.tmi_cap"),
             ("drive:\n  train: 1\n", "drive.train"),
             ("drive:\n  test: 1\n", "drive.test"),
+            ("drive:\n  n_grid: 0\n", "drive.n_grid"),
+            ("drive:\n  t_in: -5.0\n", "drive.t_in"),
+            ("  j: 0\n", "model.j"),  # continues the model block
+            ("tasks:\n  stm_delays: [-1]\n", "tasks.stm_delays"),
         ],
-        ids=["deviation_windows", "seed", "washout", "tmi_cap", "train", "test"],
+        ids=[
+            "deviation_windows", "seed", "washout", "tmi_cap", "train", "test",
+            "n_grid", "t_in", "j", "stm_delays",
+        ],
     )
     def test_out_of_range_value_rejected_before_running(self, tmp_path, text, key):
         conf = write_yaml(tmp_path, "preset: fig4\nmodel:\n  n: 3\n" + text)

@@ -29,7 +29,7 @@ from qrp.diagnostics import (
 from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
 from qrp.hamiltonian import CHAOTIC, IsingParams, spectral_model
 from qrp.pauli import PauliString
-from qrp.states import partial_trace
+from qrp.states import pack_hermitian, partial_trace
 
 
 def make_register_mean(s_vals, rests):
@@ -435,10 +435,13 @@ class TestMemoryBound:
     def large(self):
         rng = np.random.default_rng(45)
         model = spectral_model(IsingParams(n=9, h_x=-0.5, h_z=1.05))
+        half = model.dim // 2
         ensemble = StateEnsemble(
-            chain_mean=random_density(rng, model.dim),
+            mean_packed=pack_hermitian(
+                np.stack([random_density(rng, half), random_density(rng, half)]) / 2
+            ),
             sample_inputs=np.array([0.3]),
-            sample_rest=random_density(rng, model.dim // 2)[None],
+            sample_rest=random_density(rng, half)[None],
         )
         return model, ensemble, DriveConfig().grid
 

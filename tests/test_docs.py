@@ -1,11 +1,15 @@
-"""The README's library sketch runs as written, and the source keeps its
-line-length limit and its one Pauli-operator representation (checked with
-the standard library; no linter needed)."""
+"""The README's library sketch runs as written, the source keeps its
+line-length limit and its one Pauli-operator representation, and
+``qrp.experiment`` keeps every name the benchmark's tracer wraps (checked
+with the standard library; no linter needed)."""
 
+import ast
 import re
 from pathlib import Path
 
 import numpy as np
+
+import qrp.experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 MAX_LINE = 88
@@ -64,3 +68,18 @@ def test_one_pauli_representation():
         if word in line
     ]
     assert not found, "\n".join(found)
+
+
+def test_benchmark_tracer_names_exist():
+    # ``perfbench/worker.py --trace`` wraps these names on ``qrp.experiment``
+    # by attribute; a refactor that drops or moves one breaks traced runs.
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text(encoding="utf-8"))
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets)
+    )
+    assert wrapped
+    missing = [name for name in wrapped if not hasattr(qrp.experiment, name)]
+    assert not missing, missing

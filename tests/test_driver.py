@@ -6,17 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrp.driver
 from helpers import (
     build_dense,
+    chain_mean,
     expm_drive,
     initial_state,
     inject_input,
+    input_state,
     propagator,
-    random_hermitian,
+    random_density,
     trace_out_qubit0,
 )
 from qrp.driver import (
@@ -24,11 +26,12 @@ from qrp.driver import (
     DriveError,
     generate_inputs,
     run_drive,
+    split_qubit0,
 )
 from qrp.diagnostics import correlation_curve
 from qrp.hamiltonian import CHAOTIC, FREE_FERMION, IsingParams, spectral_model
-from qrp.pauli import PauliString, minus_eigenspace, parse_operator_label
-from qrp.states import partial_trace
+from qrp.pauli import PauliString, parse_operator_label
+from qrp.states import pack_hermitian, partial_trace
 
 ORDERS = {"heisenberg": True, "eigenbasis": False}
 
@@ -173,7 +176,7 @@ class TestRunDrive:
             for lab in labels:
                 got = record.values[record.index_of(lab)]
                 assert np.max(np.abs(got - values[lab])) < 1e-10
-            assert np.max(np.abs(ensemble.chain_mean - trace_out_qubit0(mean))) < 1e-10
+            assert np.max(np.abs(chain_mean(ensemble) - trace_out_qubit0(mean))) < 1e-10
             assert ensemble.sample_rest.shape == rests.shape
             assert np.max(np.abs(ensemble.sample_rest - rests)) < 1e-10
 
@@ -243,7 +246,7 @@ class TestRunDrive:
         cfg = small_config(n_washout=10, n_train=10, n_test=10)
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         _, ensemble = run_drive(cfg, model, ["z1"], inputs)
-        assert_physical(ensemble.chain_mean)
+        assert_physical(chain_mean(ensemble))
         assert ensemble.max_trace_drift < 1e-12
         assert ensemble.max_hermiticity_residue < 1e-12
 
@@ -293,7 +296,7 @@ class TestRunDrive:
         record, ensemble = run_drive(cfg, model, [], inputs)
         assert record.values.shape == (0, 20, 2)
         _, with_readout = run_drive(cfg, model, ["z1"], inputs)
-        np.testing.assert_array_equal(ensemble.chain_mean, with_readout.chain_mean)
+        np.testing.assert_array_equal(ensemble.mean_packed, with_readout.mean_packed)
         np.testing.assert_array_equal(ensemble.sample_rest, with_readout.sample_rest)
 
     def test_input_length_validated(self):
@@ -359,8 +362,8 @@ class TestAgainstExpmDrive:
             for p in readouts:
                 got = record.values[record.index_of(p.label())]
                 assert np.max(np.abs(got - values[p.label()])) < 1e-10
-            assert np.max(np.abs(ensemble.chain_mean - trace_out_qubit0(mean))) < 1e-10
-            assert_physical(ensemble.chain_mean)
+            assert np.max(np.abs(chain_mean(ensemble) - trace_out_qubit0(mean))) < 1e-10
+            assert_physical(chain_mean(ensemble))
             assert ensemble.n_samples == len(want_rests)
             if want_rests:
                 assert np.max(np.abs(ensemble.sample_rest - np.array(want_rests))) < 1e-10
@@ -390,36 +393,35 @@ class TestCorrelationsAreReadouts:
             assert np.max(np.abs(got - want)) < 1e-12, label
 
 
-class TestMinusRows:
-    """D = B^dag U(tau), with B a basis of the -1 eigenspace of the chain
-    part O, gives the Heisenberg blocks U_a^dag O U_b = delta_ab - 2 D_a^dag D_b
-    for diagonal strings, strings with x/y factors and the identity."""
+class TestReadoutEdgeRows:
+    """Rows with s = 0 and s = 1, the two rows of a test mean, next to an
+    interior s, against the full-register oracle in both orders.  The
+    eigenbasis order rotates only the qubit-1 halves of nonzero weight, so
+    every qubit-0 axis must still see each half that its row weights."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        axes=st.lists(st.sampled_from("ixyz"), min_size=1, max_size=5),
-        tau=st.floats(0.0, 5.0),
-        seed=st.integers(0, 2**16),
-    )
-    @example(axes=list("ii"), tau=1.3, seed=1)
-    @example(axes=list("zzi"), tau=0.7, seed=2)
-    @example(axes=list("xyz"), tau=2.9, seed=3)
-    def test_blocks_from_minus_rows(self, axes, tau, seed):
-        n = len(axes)
-        dim, h = 2**n, 2 ** (n - 1)
-        chain = PauliString.from_terms({q: a for q, a in enumerate(axes) if a != "i"})
-        energies, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), dim))
-        u = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
-        d = qrp.driver.minus_rows(
-            u, minus_eigenspace(chain, n), np.full((2, h, dim), np.nan, dtype=complex)
-        )
-        moved = u.conj().T @ (np.eye(dim) - build_dense(chain, n)) @ u / 2
-        for a in (0, 1):
-            block = slice(a * h, (a + 1) * h)
-            got = d[:, block].conj().T @ d[:, block]
-            assert np.max(np.abs(got - moved[block, block]), initial=0.0) < 1e-12
-        got = d[:, :h].conj().T @ d[:, h:]
-        assert np.max(np.abs(got - moved[:h, h:]), initial=0.0) < 1e-12
+    @pytest.mark.parametrize("order", list(ORDERS))
+    def test_edge_rows_match_register_oracle(self, order):
+        model = spectral_model(IsingParams(3, *CHAOTIC))
+        rng = np.random.default_rng(12)
+        s = np.array([0.0, 1.0, 0.37])
+        rests = np.array([random_density(rng, model.dim // 2) for _ in s])
+        labels = ["z2*x3", "x0*z1", "y0*x2", "z0*y1*z3"]
+        grid = DriveConfig(t_in=1.7, n_grid=4).grid
+        split = [split_qubit0(parse_operator_label(lab), model.n) for lab in labels]
+        readout = qrp.driver._Readout(model, split, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            ran = force_order(mp, order, model.n, rows=len(s))
+            got = readout(pack_hermitian(rests), s)
+        assert set(ran) == {order}
+        for o, label in enumerate(labels):
+            dense = build_dense(parse_operator_label(label), model.n + 1)
+            for row, (s_k, rest) in enumerate(zip(s, rests)):
+                psi = input_state(s_k)
+                rho = np.kron(np.outer(psi, psi.conj()), rest)
+                for m, tau in enumerate(grid):
+                    u = propagator(model, tau)
+                    want = np.trace(u @ rho @ u.conj().T @ dense).real
+                    assert abs(got[o, row, m] - want) < 1e-12, (label, s_k, tau)
 
 
 class TestReadoutOrderChoice:

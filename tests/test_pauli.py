@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_dense
+import qrp.pauli
+from helpers import build_dense, random_hermitian
 from qrp.pauli import (
     OperatorLabelError,
     PauliString,
@@ -141,3 +142,35 @@ class TestMinusEigenspace:
         np.testing.assert_allclose(
             eye - 2 * basis_h.conj().T @ basis_h, dense, atol=1e-14
         )
+
+
+class TestMinusRows:
+    """D = B^dag U(tau), with B a basis of the -1 eigenspace of the chain
+    part O, gives the Heisenberg blocks U_a^dag O U_b = delta_ab - 2 D_a^dag D_b
+    for diagonal strings, strings with x/y factors and the identity."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        axes=st.lists(st.sampled_from("ixyz"), min_size=1, max_size=5),
+        tau=st.floats(0.0, 5.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(axes=list("ii"), tau=1.3, seed=1)
+    @example(axes=list("zzi"), tau=0.7, seed=2)
+    @example(axes=list("xyz"), tau=2.9, seed=3)
+    def test_blocks_from_minus_rows(self, axes, tau, seed):
+        n = len(axes)
+        dim, h = 2**n, 2 ** (n - 1)
+        chain = PauliString.from_terms({q: a for q, a in enumerate(axes) if a != "i"})
+        energies, vecs = np.linalg.eigh(random_hermitian(np.random.default_rng(seed), dim))
+        u = (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
+        d = qrp.pauli.minus_rows(
+            u, minus_eigenspace(chain, n), np.full((2, h, dim), np.nan, dtype=complex)
+        )
+        moved = u.conj().T @ (np.eye(dim) - build_dense(chain, n)) @ u / 2
+        for a in (0, 1):
+            block = slice(a * h, (a + 1) * h)
+            got = d[:, block].conj().T @ d[:, block]
+            assert np.max(np.abs(got - moved[block, block]), initial=0.0) < 1e-12
+        got = d[:, :h].conj().T @ d[:, h:]
+        assert np.max(np.abs(got - moved[:h, h:]), initial=0.0) < 1e-12
