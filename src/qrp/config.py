@@ -273,9 +273,13 @@ def build_config(
         operators = [parse_operator_label(label) for label in readouts]
     except OperatorLabelError as exc:
         raise ConfigError(f"readouts: {exc}") from exc
-    for p in operators + [p for spec in tasks.otoc for p in (spec.w, spec.v)]:
-        if p.terms and max(p.sites) > model.n:
-            raise ConfigError(f"operator {p.label()!r} outside register 0..{model.n}")
+    otoc_operators = [p for spec in tasks.otoc for p in (spec.w, spec.v)]
+    for key, ops in (("readouts", operators), ("tasks.otoc", otoc_operators)):
+        for p in ops:
+            if p.terms and max(p.sites) > model.n:
+                raise ConfigError(
+                    f"{key}: operator {p.label()!r} outside register 0..{model.n}"
+                )
     for d in tasks.stm_delays:
         if d < 0 or d > drive.n_washout:
             raise ConfigError(
@@ -283,11 +287,15 @@ def build_config(
             )
     for q in tasks.correlations:
         if not 1 <= q <= model.n:
-            raise ConfigError(f"correlation qubit {q} outside chain 1..{model.n}")
+            raise ConfigError(
+                f"tasks.correlations: qubit {q} outside chain 1..{model.n}"
+            )
     for spec in tasks.tmi:
         top = max(spec.a + spec.b + spec.c)
         if top > model.n:
-            raise ConfigError(f"tmi subset qubit {top} outside register 0..{model.n}")
+            raise ConfigError(
+                f"tasks.tmi: subset qubit {top} outside register 0..{model.n}"
+            )
     if tasks.deviation:
         missing = [lab for lab in default_readouts(model.n) if lab not in readouts]
         if missing:

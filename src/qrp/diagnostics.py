@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import StateEnsemble, _Readout, split_qubit0
+from .driver import StateEnsemble, _Readout, rest_sectors, split_qubit0
 from .hamiltonian import SpectralModel, eigenbasis_operator
 from .pauli import PauliString, as_pauli_string
-from .states import partial_trace, spectrum_entropy, unpack_hermitian
+from .states import partial_trace, spectrum_entropy, unpack_sectors
 
 CHUNK_BYTES = 8 * 2**20
 _COMPLEX_BYTES = 16
@@ -129,7 +129,7 @@ def otoc_curve(
     # block-diagonal on qubit 1, and block a meets only V_a, the rows of V
     # where qubit 1 is a.
     vecs_0, vecs_1 = np.split(model.eigenvectors, 2)
-    sigma_0, sigma_1 = unpack_hermitian(ensemble.mean_packed)
+    sigma_0, sigma_1 = unpack_sectors(ensemble.mean_packed, rest_sectors(model))
     state = vecs_0.conj().T @ (sigma_0 @ vecs_0)
     state += vecs_1.conj().T @ (sigma_1 @ vecs_1)
     w_eig = eigenbasis_operator(model, w_chain)
@@ -202,6 +202,7 @@ def tmi_curve(
     vecs_rows = model.eigenvectors[order]
     vecs_h = model.eigenvectors.conj().T
 
+    rests = unpack_sectors(ensemble.sample_packed, rest_sectors(model))
     taus = np.asarray(taus, dtype=float)
     totals = np.zeros(len(taus))
     for chunk in _tau_chunks(len(taus), 4 * dim * dim * _COMPLEX_BYTES):
@@ -211,7 +212,7 @@ def tmi_curve(
         blocks = [scaled @ vecs_h[:, :half], scaled @ vecs_h[:, half:]]
         del scaled
         shaped = [blk.reshape(count, kept_dim, -1) for blk in blocks]
-        for s, rest in zip(ensemble.sample_inputs, ensemble.sample_rest):
+        for s, rest in zip(ensemble.sample_inputs, rests):
             # L_b rest L_a^dag = L_b conj(L_a rest)^T for Hermitian rest, so
             # each half needs one conjugated product and no conjugate copy
             # of the blocks; the halves are taken one at a time.

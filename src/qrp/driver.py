@@ -13,11 +13,18 @@ four h x h blocks of the interval propagator on qubit 1, one interval is
     rest' = s (K00 rest K00^dag + K10 rest K10^dag)
             + (1 - s) (K01 rest K01^dag + K11 rest K11^dag).
 
+``rest`` is carried as its blocks on the sectors of qubits 2..N
+(``rest_sectors``), which follow the Hamiltonian's (``SpectralModel.sectors``).
+Where H conserves the chain parity there are two, the parity classes of
+qubits 2..N: K00 and K11 keep that parity and K01 and K10 flip it, so the
+Kraus blocks map each sector to one sector and ``rest`` stays block-diagonal.
+Otherwise one sector holds everything.  Either way one loop runs.
+
 Every read-out at every grid time is a fixed linear functional of
-``rest``, so the loop only stores each recorded ``rest``, packed as h**2
-real numbers (``states.pack_hermitian``), in chunks of at most
-``CHUNK_BYTES``.  ``_Readout`` evaluates a chunk in whichever of two orders
-its operation counts favour: against packed Heisenberg blocks of the
+``rest``, so the loop only stores each recorded ``rest``, sector-packed as
+each block's ``states.pack_hermitian`` numbers, concatenated, in chunks of
+at most ``CHUNK_BYTES``.  ``_Readout`` evaluates a chunk in whichever of two
+orders its operation counts favour: against packed Heisenberg blocks of the
 operators, one real GEMM per grid time, or interval by interval in the
 Hamiltonian eigenbasis, where evolution to a grid time is a diagonal phase.
 """
@@ -29,9 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SpectralModel, chain_propagator, eigenbasis_operator
+from .hamiltonian import (
+    SpectralModel,
+    eigenbasis_operator,
+    sector_bases,
+    sector_propagators,
+)
 from .pauli import PauliString, as_pauli_string, minus_eigenspace, minus_rows
-from .states import pack_hermitian, unpack_hermitian
+from .states import pack_hermitian, unpack_sectors
 
 # Stored rests per read-out chunk, in bytes.  A chunk rebuilds the Heisenberg
 # blocks, so at this size the recorded intervals of a short drive at N = 8
@@ -130,21 +142,20 @@ class ReadoutRecord:
 class StateEnsemble:
     """Mean test state on the chain plus capped per-step snapshots.
 
-    ``mean_packed`` holds the test means of s_k rest_k and (1 - s_k) rest_k,
-    packed like every stored rest: the qubit-1 blocks of the mean chain
-    state (the off-diagonal ones vanish), and all that correlators (read-out
-    rows s = 1 and s = 0) and OTOCs need.  Snapshots are stored at virtual
-    time zero as ``(s_k, rho_rest)`` pairs, from which entropy diagnostics
-    rebuild any reduced state exactly.  They stay complex: entropy
-    diagnostics use each one once per chunk of grid times, and unpacking a
-    packed copy every time made them 20-25% slower at N = 8 and 9.  The
-    health figures are the running state's largest trace drift and
-    Hermiticity residue over the whole drive.
+    Both are sector-packed like every stored rest (``rest_sectors`` of the
+    model).  ``mean_packed`` holds the test means of s_k rest_k and
+    (1 - s_k) rest_k: the qubit-1 blocks of the mean chain state (the
+    off-diagonal ones vanish), and all that correlators (read-out rows s = 1
+    and s = 0) and OTOCs need.  Snapshots are the rests of the first testing
+    intervals, at virtual time zero, next to their inputs, from which
+    entropy diagnostics rebuild any reduced state exactly.  The health
+    figures are the running state's largest trace drift and Hermiticity
+    residue over the whole drive.
     """
 
-    mean_packed: np.ndarray  # (2, 4**(N-1)), real
+    mean_packed: np.ndarray  # (2, packed length), real
     sample_inputs: np.ndarray
-    sample_rest: np.ndarray  # (n_samples, 2**(N-1), 2**(N-1))
+    sample_packed: np.ndarray  # (n_samples, packed length), real
     max_trace_drift: float = 0.0
     max_hermiticity_residue: float = 0.0
 
@@ -165,19 +176,71 @@ def split_qubit0(p: PauliString, n_chain: int) -> tuple[str, PauliString]:
     return axis0, chain
 
 
-def _heisenberg_is_cheaper(rows: int, dim: int, axes: list[str], n_grid: int) -> bool:
-    """Whether the Heisenberg order reads ``rows`` stored rests out with
-    fewer real multiply-adds than the eigenbasis order.
+def rest_sectors(model: SpectralModel) -> list[np.ndarray]:
+    """Index sets, on qubits 2..N, of the blocks the running state is carried
+    in: sector q holds the basis states of chain sector q whose qubit 1 is 0.
+    The states of chain sector q whose qubit 1 is 1 are those of rest sector
+    q + 1 (modulo the number of sectors)."""
+    h = model.dim // 2
+    return [rows[rows < h] for rows, _ in model.sectors]
 
-    Heisenberg: U(tau) per grid time (dim**3 complex), an h x h x h product
-    per block and grid time, then h**2 real per block, grid time and row.
-    Eigenbasis: per row, the weighted states in the eigenbasis (dim**3 / 4
-    plus dim**3 for axes i/z and dim**3 / 2 for x/y), then dim**2 complex
-    per operator and grid time.
+
+def _parity_shift(chain: PauliString, n_sectors: int) -> int:
+    """How many sectors a chain string moves a state by: each x or y factor
+    flips the chain parity, and with one sector nothing moves."""
+    return sum(axis in "xy" for _, axis in chain.terms) % n_sectors
+
+
+def _sector_spaces(chain: PauliString, model: SpectralModel) -> list:
+    """``minus_eigenspace`` rows of a chain string, per chain sector, in the
+    sector's own basis, so that ``minus_rows(u_q, spaces[q], ...)`` gives the
+    rows of D = B^dag U that a propagator block u_q feeds.
+
+    A string that keeps the sector has basis vectors inside one sector each.
+    One that moves it pairs a state of each sector in every basis vector, so
+    every sector sees every vector, as one row scaled by its coefficient;
+    the rows of all sectors stay aligned.
     """
+    rows, partners, phases = minus_eigenspace(chain, model.n)
+    chain_rows = [members for members, _ in model.sectors]
+    shift = _parity_shift(chain, len(chain_rows))
+    dim = model.dim
+    local, sector = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+    for q, members in enumerate(chain_rows):
+        local[members] = np.arange(len(members))
+        sector[members] = q
+    spaces = []
+    for q in range(len(chain_rows)):
+        mine = sector[rows] == q
+        if shift:
+            coef = np.where(mine, 1.0, -phases) * np.sqrt(0.5)
+            spaces.append((np.where(mine, local[rows], local[partners]), None, coef))
+        elif partners is None:
+            spaces.append((local[rows[mine]], None, None))
+        else:
+            spaces.append((local[rows[mine]], local[partners[mine]], phases[mine]))
+    return spaces
+
+
+def _heisenberg_is_cheaper(
+    rows: int, sizes: list[int], axes: list[str], n_grid: int
+) -> bool:
+    """Whether the Heisenberg order reads ``rows`` stored rests out with
+    fewer real multiply-adds than the eigenbasis order, for chain sectors of
+    ``sizes`` (d) basis states.
+
+    Heisenberg: U(tau) per sector and grid time (d**3 complex), products of
+    (d / 2)**3 per block, sector and grid time, then the packed length
+    (the sum of (d / 2)**2) per block, grid time and row.  Eigenbasis: per
+    row, the weighted states in the eigenbasis (dim**3 / 4 plus dim**3 for
+    axes i/z and dim**3 / 2 for x/y), then dim**2 complex per operator and
+    grid time, with dim the sum of ``sizes``.
+    """
+    dim = sum(sizes)
+    cubes = sum(d**3 for d in sizes)
     n_blocks = sum(2 if axis in "iz" else 1 for axis in axes)
-    heisenberg = 4 * n_grid * dim**3 * (1 + n_blocks / 8)
-    heisenberg += rows * n_grid * n_blocks * dim**2 / 4
+    heisenberg = 4 * n_grid * cubes * (1 + n_blocks / 8)
+    heisenberg += rows * n_grid * n_blocks * sum(d**2 for d in sizes) / 4
     state = dim**3 / 4
     state += dim**3 if {"i", "z"} & set(axes) else 0
     state += dim**3 / 2 if {"x", "y"} & set(axes) else 0
@@ -197,11 +260,19 @@ class _Readout:
         a = x:  c Tr[rest (X01 + X01^dag)]
         a = y:  c Tr[rest i (X01^dag - X01)],     c = sqrt(s (1 - s)).
 
+    ``rest`` is block-diagonal on ``rest_sectors``, so only the
+    sector-diagonal parts of the X blocks count.  With two sectors, X00 and
+    X11 of a parity-odd O and X01 of a parity-even one have none: those
+    read-outs are exactly 0 and are not evaluated.
+
     The Heisenberg order writes O = I - 2 B B^dag with B a basis of the -1
     eigenspace of O (``pauli.minus_eigenspace``) and D = B^dag U(tau), an
     h x 2h matrix with column halves D_0, D_1.  As U(tau) is unitary,
     X_ab = delta_ab I - 2 D_a^dag D_b: the identity part contributes
-    Tr[rest], and only the h x h x h products G_ab = D_a^dag D_b are packed.
+    Tr[rest], and only the products G_ab = D_a^dag D_b are packed.  U(tau)
+    is built per chain sector, and so is D (``_sector_spaces``): the columns
+    of chain sector q where qubit 1 is 0 meet rest sector q, and those where
+    it is 1 rest sector q + 1.
     """
 
     def __init__(
@@ -209,9 +280,19 @@ class _Readout:
     ):
         self.model = model
         self.grid = grid
-        self.axes = [axis0 for axis0, _ in split]
-        self.chains = [chain for _, chain in split]
-        self.spaces = [minus_eigenspace(chain, model.n) for chain in self.chains]
+        self.sectors = rest_sectors(model)
+        n_sectors = len(self.sectors)
+        # X00 and X11 keep the sector, X01 moves it by one; the operators
+        # evaluated are those that a block-diagonal rest can see.
+        self.n_operators = len(split)
+        self.kept = [
+            o
+            for o, (axis0, chain) in enumerate(split)
+            if (_parity_shift(chain, n_sectors) + (axis0 in "xy")) % n_sectors == 0
+        ]
+        self.axes = [split[o][0] for o in self.kept]
+        self.chains = [split[o][1] for o in self.kept]
+        self.spaces = [_sector_spaces(chain, model) for chain in self.chains]
         self.ops_eig_t: list[np.ndarray] | None = None
         # Column j of the per-row weights goes with block j; ``starts`` marks
         # the first block of each operator.
@@ -219,12 +300,29 @@ class _Readout:
         for axis0 in self.axes:
             self.kinds += [axis0 + "0", axis0 + "1"] if axis0 in "iz" else [axis0]
         self.starts = np.cumsum([0] + [2 if a in "iz" else 1 for a in self.axes])[:-1]
+        # Where each sector's numbers sit in a packed row, where its diagonal
+        # does, and the factor that makes a dot product a trace.
+        offsets = np.cumsum([0] + [len(rows) ** 2 for rows in self.sectors])
+        self.segments = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        self.diagonals = [
+            slice(start, start + len(rows))
+            for start, rows in zip(offsets, self.sectors)
+        ]
+        self.scale = np.full(offsets[-1], 2.0)
+        for diagonal in self.diagonals:
+            self.scale[diagonal] = 1.0
 
     def __call__(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Values (n_operators, rows, n_grid) for packed rests and inputs."""
-        if _heisenberg_is_cheaper(len(s), self.model.dim, self.axes, len(self.grid)):
-            return self._heisenberg(packed, s)
-        return self._eigenbasis(packed, s)
+        out = np.zeros((self.n_operators, len(s), len(self.grid)))
+        if not self.axes:
+            return out
+        sizes = [len(rows) for rows, _ in self.model.sectors]
+        if _heisenberg_is_cheaper(len(s), sizes, self.axes, len(self.grid)):
+            self._heisenberg(packed, s, out)
+        else:
+            self._eigenbasis(packed, s, out)
+        return out
 
     def _block_weights(self, s: np.ndarray) -> np.ndarray:
         """Per-row weights of the packed G blocks: those of the X blocks
@@ -234,45 +332,57 @@ class _Readout:
                    "z1": 2.0 - 2.0 * s, "x": c, "y": c}
         return np.stack([columns[kind] for kind in self.kinds], axis=1)
 
-    def _heisenberg(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
-        model = self.model
-        h = model.dim // 2
+    def _heisenberg(self, packed: np.ndarray, s: np.ndarray, out: np.ndarray):
+        bases = sector_bases(self.model)
+        n = [len(rows) for rows in self.sectors]
+        q = len(n)
         weights = self._block_weights(s)
         # Tr[rest] times the identity parts: s + (1 - s) for axis i,
         # s - (1 - s) for z, none for x and y.
-        traces = packed[:, :h].sum(axis=1)
+        traces = sum(packed[:, diagonal].sum(axis=1) for diagonal in self.diagonals)
         parts = {"i": traces, "z": (2.0 * s - 1.0) * traces, "x": 0.0 * s, "y": 0.0 * s}
         identity = np.stack([parts[axis0] for axis0 in self.axes], axis=1)
-        out = np.empty((len(self.axes), len(s), len(self.grid)))
-        blocks = np.empty((len(self.kinds), h, h), dtype=complex)
-        heis = np.empty((len(self.kinds), h * h))
-        minus = np.empty((2, h, model.dim), dtype=complex)
+        blocks = [np.empty((len(self.kinds), m, m), dtype=complex) for m in n]
+        heis = np.empty((len(self.kinds), len(self.scale)))
+        minus = [
+            np.empty((2, max(len(sp[c][0]) for sp in self.spaces), len(vecs)), complex)
+            for c, (vecs, _) in enumerate(bases)
+        ]
         for m, tau in enumerate(self.grid):
-            u = chain_propagator(model, tau)
+            us = sector_propagators(bases, tau)
             j = 0
-            for axis0, space in zip(self.axes, self.spaces):
-                d = minus_rows(u, space, minus)
-                # conj(D) goes where the partner rows were
-                d_bar = np.conjugate(d, out=minus[1, : len(d)])
+            for axis0, spaces in zip(self.axes, self.spaces):
+                d, d_bar = [], []
+                for u, space, buf in zip(us, spaces, minus):
+                    d.append(minus_rows(u, space, buf))
+                    # conj(D) goes where the partner rows were
+                    d_bar.append(np.conjugate(d[-1], out=buf[1, : len(d[-1])]))
                 if axis0 in "iz":
-                    np.matmul(d_bar[:, :h].T, d[:, :h], out=blocks[j])
-                    np.matmul(d_bar[:, h:].T, d[:, h:], out=blocks[j + 1])
+                    for c in range(q):
+                        low, high = slice(None, n[c]), slice(n[c], None)
+                        up = blocks[(c + 1) % q][j + 1]
+                        np.matmul(d_bar[c][:, low].T, d[c][:, low], out=blocks[c][j])
+                        np.matmul(d_bar[c][:, high].T, d[c][:, high], out=up)
                     j += 2
                     continue
-                g01 = np.matmul(d_bar[:, :h].T, d[:, h:], out=blocks[j])
-                if axis0 == "x":
-                    g01 += g01.conj().T
-                else:
-                    np.subtract(g01.conj().T, g01, out=g01)
-                    g01 *= 1j
+                for a in range(q):
+                    b = (a + 1) % q
+                    g01 = np.matmul(
+                        d_bar[a][:, : n[a]].T, d[b][:, n[b] :], out=blocks[a][j]
+                    )
+                    if axis0 == "x":
+                        g01 += g01.conj().T
+                    else:
+                        np.subtract(g01.conj().T, g01, out=g01)
+                        g01 *= 1j
                 j += 1
-            pack_hermitian(blocks, out=heis)
-            heis[:, h:] *= 2.0
+            for sector_blocks, segment in zip(blocks, self.segments):
+                pack_hermitian(sector_blocks, out=heis[:, segment])
+            heis *= self.scale
             values = np.add.reduceat((packed @ heis.T) * weights, self.starts, axis=1)
-            out[:, :, m] = (values + identity).T
-        return out
+            out[self.kept, :, m] = (values + identity).T
 
-    def _eigenbasis(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def _eigenbasis(self, packed: np.ndarray, s: np.ndarray, out: np.ndarray):
         model = self.model
         h = model.dim // 2
         vecs = model.eigenvectors
@@ -289,9 +399,8 @@ class _Readout:
         phases = np.exp(-1j * np.outer(self.grid, model.eigenvalues))  # (n_grid, dim)
         phases_ct = phases.conj().T
         axes = set(self.axes)
-        out = np.empty((len(self.axes), len(s), len(self.grid)))
         for row, (s_k, packed_row) in enumerate(zip(s, packed)):
-            rest = unpack_hermitian(packed_row)
+            rest = unpack_sectors(packed_row, self.sectors)
             # Only halves of nonzero weight: a test-mean row has s = 1 or 0.
             moved1 = rest @ v1 if s_k < 1.0 else None
             weighted = dict(x=0.0, y=0.0)
@@ -308,28 +417,30 @@ class _Readout:
             for o, (axis0, op_t) in enumerate(zip(self.axes, self.ops_eig_t)):
                 # value[m] = sum_ab W[a,b] op[b,a] e^{-i(E_a - E_b) tau_m}
                 tmp = (weighted[axis0] * op_t) @ phases_ct  # (dim, n_grid)
-                out[o, row] = np.einsum("ma,am->m", phases, tmp).real
-        return out
+                out[self.kept[o], row] = np.einsum("ma,am->m", phases, tmp).real
 
 
 def _state_health(
-    rest: np.ndarray, k: int, config: DriveConfig, scratch: np.ndarray
+    rest: list[np.ndarray], k: int, config: DriveConfig, scratch: np.ndarray
 ) -> tuple[float, float]:
-    """Trace drift and Hermiticity residue of the running state at interval
-    ``k``; raises ``DriveError`` naming the interval, its phase and the
-    quantity when either exceeds its tolerance or is not finite.
+    """Trace drift and Hermiticity residue of the running state, given as its
+    sector blocks, at interval ``k``; raises ``DriveError`` naming the
+    interval, its phase and the quantity when either exceeds its tolerance
+    or is not finite.
 
-    ``scratch``, at least 3 h**2 contiguous float64 entries for an h x h
-    ``rest``, holds the residue's intermediates.
+    ``scratch``, at least 3 h**2 contiguous float64 entries for the largest
+    h x h block, holds the residue's intermediates.
     """
-    h = len(rest)
-    skew = scratch[: 2 * h * h].view(complex).reshape(h, h)
-    size = scratch[2 * h * h : 3 * h * h].reshape(h, h)
-    np.conjugate(rest.T, out=skew)
-    np.subtract(rest, skew, out=skew)
-    np.abs(skew, out=size)
-    drift = abs(float(np.trace(rest).real) - 1.0)
-    herm = float(size.max())
+    herm = 0.0
+    for block in rest:
+        h = len(block)
+        skew = scratch[: 2 * h * h].view(complex).reshape(h, h)
+        size = scratch[2 * h * h : 3 * h * h].reshape(h, h)
+        np.conjugate(block.T, out=skew)
+        np.subtract(block, skew, out=skew)
+        np.abs(skew, out=size)
+        herm = max(herm, float(np.max(size, initial=0.0)))
+    drift = abs(sum(float(np.trace(block).real) for block in rest) - 1.0)
     for name, value, tol in (
         ("trace drift", drift, TRACE_DRIFT_TOL),
         ("Hermiticity residue", herm, HERMITICITY_TOL),
@@ -374,32 +485,62 @@ def run_drive(
         raise ValueError(f"duplicate read-out operators in {labels}")
     readout = _Readout(model, [split_qubit0(p, model.n) for p in parsed], config.grid)
 
-    h = model.dim // 2
-    u_in = chain_propagator(model, config.t_in)
-    # Rows: K00, K10 (qubit 1 was |0>, weight s), then K01, K11 (weight 1 - s).
-    kraus = np.concatenate([u_in[:, :h], u_in[:, h:]])
+    # Rest sector a has n[a] states; chain sector a holds it with qubit 1 = 0
+    # and sector a + 1 with qubit 1 = 1 (modulo q), so the first n[a] rows
+    # and columns of the chain-sector block u[a] are those where qubit 1 is 0.
+    sectors = rest_sectors(model)
+    n = [len(rows) for rows in sectors]
+    q = len(n)
+    u_in = sector_propagators(sector_bases(model), config.t_in)
+    weighted_s = [len(u) for u in u_in]
+    # Per source sector a, the rows K00, K10 (qubit 1 was |0>, weight s:
+    # the first ``weighted_s[a]``), then K01, K11 (weight 1 - s), landing in
+    # sectors a, a+1, a+1, a.
+    kraus = [
+        np.concatenate([u_in[a][:, : n[a]], u_in[(a + 1) % q][:, n[(a + 1) % q] :]])
+        for a in range(q)
+    ]
     del u_in
-    kraus_h = kraus.reshape(4, h, h).conj().transpose(0, 2, 1).reshape(4 * h, h)
+    # Per target sector t, the four terms K rest K^dag that land there, in
+    # the order K00, K10, K01, K11: (source sector, rows of its Kraus stack).
+    terms = []
+    for t in range(q):
+        p = (t - 1) % q
+        terms.append([
+            (t, slice(0, n[t])),
+            (p, slice(n[p], n[p] + n[t])),
+            (p, slice(n[p] + n[t], n[p] + 2 * n[t])),
+            (t, slice(n[t] + 2 * n[(t + 1) % q], None)),
+        ])
+    kraus_h = [
+        np.concatenate([kraus[a][rows].conj().T for a, rows in terms[t]])
+        for t in range(q)
+    ]
     g = model.eigenvectors[:, 0]
-    rest = np.outer(g[:h], g[:h].conj()) + np.outer(g[h:], g[h:].conj())
-    # Buffers of one step, reused: the blocks K_j rest, the same side by
-    # side, and the next rest.  Until the Kraus products fill it, ``moved``
-    # holds the health check's intermediates.
-    moved = np.empty((4 * h, h), dtype=complex)
-    side = np.empty((h, 4 * h), dtype=complex)
-    spare = np.empty_like(rest)
-    scratch = moved.reshape(-1).view(np.float64)
+    h = model.dim // 2
+    rest = [
+        np.outer(g[rows], g[rows].conj()) + np.outer(g[h + rows], g[h + rows].conj())
+        for rows in sectors
+    ]
+    # Buffers of one step, reused: per sector the blocks K_j rest, the
+    # terms landing there side by side, and the next rest.  Until the Kraus
+    # products fill it, ``moved[0]`` holds the health check's intermediates.
+    moved = [np.empty((len(k), n[a]), dtype=complex) for a, k in enumerate(kraus)]
+    side = [np.empty((n[t], len(kh)), dtype=complex) for t, kh in enumerate(kraus_h)]
+    spare = [np.empty_like(block) for block in rest]
+    scratch = moved[0].reshape(-1).view(np.float64)
+    segments = np.cumsum([0] + [m * m for m in n])
 
     n_rows = config.n_train + config.n_test
     record_values = np.zeros((len(parsed), n_rows, config.n_grid))
     # Without read-outs a chunk is never read, so one row suffices.
-    chunk_rows = min(n_rows, CHUNK_BYTES // (8 * h * h)) if parsed else 1
-    chunk = np.empty((max(1, chunk_rows), h * h))
+    chunk_rows = min(n_rows, CHUNK_BYTES // (8 * segments[-1])) if parsed else 1
+    chunk = np.empty((max(1, chunk_rows), segments[-1]))
     n_cap = min(config.tmi_cap, config.n_test)
-    sample_rest = np.zeros((n_cap, h, h), dtype=complex)
+    sample_packed = np.zeros((n_cap, segments[-1]))
     # Sums of s_k rest_k and (1 - s_k) rest_k over the testing intervals,
     # averaged once the drive ends.
-    mean_packed = np.zeros((2, h * h))
+    mean_packed = np.zeros((2, segments[-1]))
     max_drift = max_herm = 0.0
 
     for k in range(config.n_total):
@@ -410,23 +551,32 @@ def run_drive(
         row = k - config.n_washout
         if row >= 0:
             slot = row % len(chunk)
-            packed = pack_hermitian(rest, out=chunk[slot])
+            packed = chunk[slot]
+            for block, start, stop in zip(rest, segments[:-1], segments[1:]):
+                pack_hermitian(block, out=packed[start:stop])
             spot = row - config.n_train
             if spot >= 0:
                 mean_packed[0] += s * packed
                 mean_packed[1] += (1.0 - s) * packed
                 if spot < n_cap:
-                    sample_rest[spot] = rest
+                    sample_packed[spot] = packed
             if parsed and (slot == len(chunk) - 1 or row == n_rows - 1):
                 record_values[:, row - slot : row + 1] = readout(
                     chunk[: slot + 1], s_values[k - slot : k + 1]
                 )
 
-        np.matmul(kraus, rest, out=moved)
-        moved[: 2 * h] *= s
-        moved[2 * h :] *= 1.0 - s
-        np.copyto(side.reshape(h, 4, h), moved.reshape(4, h, h).transpose(1, 0, 2))
-        rest, spare = np.matmul(side, kraus_h, out=spare), rest
+        for a in range(q):
+            np.matmul(kraus[a], rest[a], out=moved[a])
+            moved[a][: weighted_s[a]] *= s
+            moved[a][weighted_s[a] :] *= 1.0 - s
+        for t in range(q):
+            column = 0
+            for a, rows in terms[t]:
+                width = n[a]
+                side[t][:, column : column + width] = moved[a][rows]
+                column += width
+            np.matmul(side[t], kraus_h[t], out=spare[t])
+        rest, spare = spare, rest
 
     mean_packed /= config.n_test
 
@@ -442,7 +592,7 @@ def run_drive(
     ensemble = StateEnsemble(
         mean_packed=mean_packed,
         sample_inputs=s_values[config.n_washout + config.n_train :][:n_cap].copy(),
-        sample_rest=sample_rest,
+        sample_packed=sample_packed,
         max_trace_drift=max_drift,
         max_hermiticity_residue=max_herm,
     )

@@ -67,11 +67,19 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
 
 @dataclass
 class SpectralModel:
-    """Eigendecomposition of the chain Hamiltonian."""
+    """Eigendecomposition of the chain Hamiltonian.
+
+    ``sectors`` lists the blocks that H leaves invariant, each as its basis
+    states (ascending) and its eigenvector columns (ascending energy): the
+    two chain-parity classes when every entry of H between them is exactly
+    zero, else one block of everything.  ``eigenvectors`` is zero outside
+    each sector's rows and columns.
+    """
 
     params: IsingParams
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
     degenerate_ground: bool = False
 
     @property
@@ -95,8 +103,22 @@ def _fix_phases(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return fixed
 
 
+def _parity_classes(hamiltonian: np.ndarray) -> list[np.ndarray]:
+    """Basis states of even and of odd chain parity (the product of every
+    z_i) if H has no entry between the two, else all basis states."""
+    dim = len(hamiltonian)
+    odd = (np.bitwise_count(np.arange(dim)) & 1).astype(bool)
+    if dim > 1 and not np.any(hamiltonian[odd[:, None] != odd[None, :]]):
+        return [np.flatnonzero(~odd), np.flatnonzero(odd)]
+    return [np.arange(dim)]
+
+
 def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
-    """Full eigendecomposition; eigenvalues ascending, orthonormal columns."""
+    """Full eigendecomposition; eigenvalues ascending, orthonormal columns.
+
+    Each parity sector (``_parity_classes``) is diagonalized on its own and
+    the eigenpairs are merged in ascending energy.
+    """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     if hamiltonian.shape != (params.dim, params.dim):
         raise ValueError(
@@ -105,18 +127,32 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
     herm_residue = np.max(np.abs(hamiltonian - hamiltonian.conj().T))
     if herm_residue > 1e-10:
         raise ValueError(f"Hamiltonian is not Hermitian (residue {herm_residue:.3e})")
+    classes = _parity_classes(hamiltonian)
     try:
-        energies, vectors = np.linalg.eigh(hamiltonian)
+        parts = [np.linalg.eigh(hamiltonian[np.ix_(rows, rows)]) for rows in classes]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         norm = np.max(np.abs(hamiltonian))
         raise RuntimeError(f"eigensolver failed (max |H| = {norm:.3e}): {exc}") from exc
+    unsorted = np.concatenate([energies for energies, _ in parts])
+    order = np.argsort(unsorted, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))  # sorted position of each eigenpair
+    vectors = np.zeros((params.dim, params.dim), dtype=complex)
+    sectors, start = [], 0
+    for rows, (energies, block) in zip(classes, parts):
+        cols = column[start : start + len(energies)]
+        vectors[np.ix_(rows, cols)] = block
+        sectors.append((rows, cols))
+        start += len(energies)
     vectors = _fix_phases(vectors)
+    energies = unsorted[order]
     scale = max(np.max(np.abs(energies)), 1.0)
     degenerate = bool(energies.size > 1 and energies[1] - energies[0] <= 1e-9 * scale)
     return SpectralModel(
         params=params,
         eigenvalues=energies,
         eigenvectors=vectors,
+        sectors=tuple(sectors),
         degenerate_ground=degenerate,
     )
 
@@ -132,6 +168,26 @@ def chain_propagator(model: SpectralModel, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be >= 0, got {tau}")
     phases = np.exp(-1j * model.eigenvalues * tau)
     return (model.eigenvectors * phases) @ model.eigenvectors.conj().T
+
+
+def sector_bases(model: SpectralModel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per sector, its eigenvectors in the sector's own basis and their
+    energies: the diagonal blocks of ``eigenvectors``, which are all of it
+    when there is one sector (returned without a copy)."""
+    if len(model.sectors) == 1:
+        return [(model.eigenvectors, model.eigenvalues)]
+    return [
+        (model.eigenvectors[np.ix_(rows, cols)], model.eigenvalues[cols])
+        for rows, cols in model.sectors
+    ]
+
+
+def sector_propagators(bases, tau: float) -> list[np.ndarray]:
+    """exp(-i H tau) per sector, for ``bases = sector_bases(model)``."""
+    return [
+        (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
+        for vecs, energies in bases
+    ]
 
 
 def eigenbasis_operator(model: SpectralModel, chain: PauliString) -> np.ndarray:

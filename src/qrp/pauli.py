@@ -154,7 +154,8 @@ def minus_rows(u: np.ndarray, space, out: np.ndarray) -> np.ndarray:
 
     ``out`` holds two h x 2h buffers: D is written into the first rows of
     ``out[0]`` (one row per basis vector of B), and ``out[1]`` holds the
-    partner rows of a non-diagonal string.
+    partner rows of a non-diagonal string.  A space with ``phases`` but no
+    ``partners`` scales each gathered row by its phase.
     """
     rows, partners, phases = space
     d, moved = out[0, : len(rows)], out[1, : len(rows)]
@@ -164,4 +165,6 @@ def minus_rows(u: np.ndarray, space, out: np.ndarray) -> np.ndarray:
         moved *= phases[:, None]
         d -= moved
         d *= np.sqrt(0.5)
+    elif phases is not None:
+        d *= phases[:, None]
     return d

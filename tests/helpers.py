@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from qrp.diagnostics import TmiSpec, _tmi_of_joint
-from qrp.driver import StateEnsemble
+from qrp.driver import StateEnsemble, rest_sectors
 from qrp.hamiltonian import SpectralModel, chain_propagator
 from qrp.pauli import PauliString
 from qrp.states import (
@@ -19,6 +19,7 @@ from qrp.states import (
     partial_trace,
     spectrum_entropy,
     unpack_hermitian,
+    unpack_sectors,
 )
 
 PAULI = {
@@ -176,7 +177,9 @@ def register_ensemble(
 ) -> StateEnsemble:
     """Ensemble from a full-register post-injection mean state, with qubit 0
     contracted out and the chain mean kept as its two packed qubit-1 blocks;
-    raises if the chain mean has off-diagonal qubit-1 blocks."""
+    raises if the chain mean has off-diagonal qubit-1 blocks.  Everything is
+    packed as one sector, the layout of a model without the parity
+    symmetry."""
     chain = trace_out_qubit0(mean_state)
     h = len(chain) // 2
     if np.max(np.abs(chain[:h, h:]), initial=0.0) > 1e-12:
@@ -184,20 +187,29 @@ def register_ensemble(
     return StateEnsemble(
         mean_packed=pack_hermitian(np.stack([chain[:h, :h], chain[h:, h:]])),
         sample_inputs=sample_inputs,
-        sample_rest=sample_rest,
+        sample_packed=pack_hermitian(sample_rest),
     )
 
 
-def chain_mean(ensemble: StateEnsemble) -> np.ndarray:
-    """Dense 2**N chain mean state of an ensemble: its two packed qubit-1
-    blocks on the diagonal."""
-    return scipy.linalg.block_diag(*unpack_hermitian(ensemble.mean_packed))
+def chain_mean(ensemble: StateEnsemble, model: SpectralModel) -> np.ndarray:
+    """Dense 2**N chain mean state of a drive's ensemble: its two packed
+    qubit-1 blocks on the diagonal."""
+    return scipy.linalg.block_diag(
+        *unpack_sectors(ensemble.mean_packed, rest_sectors(model))
+    )
+
+
+def snapshot_rests(ensemble: StateEnsemble, model: SpectralModel) -> np.ndarray:
+    """Dense rests (qubits 2..N) of a drive's ensemble snapshots."""
+    return unpack_sectors(ensemble.sample_packed, rest_sectors(model))
 
 
 def sample_state(ensemble: StateEnsemble, index: int) -> np.ndarray:
-    """Full-register density matrix of snapshot ``index`` at tau = 0."""
+    """Full-register density matrix of snapshot ``index`` at tau = 0, for an
+    ensemble packed as one sector (``register_ensemble``)."""
     psi = input_state(float(ensemble.sample_inputs[index]))
-    return np.kron(np.outer(psi, psi.conj()), ensemble.sample_rest[index])
+    rest = unpack_hermitian(ensemble.sample_packed[index])
+    return np.kron(np.outer(psi, psi.conj()), rest)
 
 
 def register_hamiltonian(n: int, h_x: float, h_z: float) -> np.ndarray:
@@ -214,6 +226,15 @@ def register_hamiltonian(n: int, h_x: float, h_z: float) -> np.ndarray:
     return ham + sum(
         h_x * on_sites({q: "x"}) + h_z * on_sites({q: "z"}) for q in range(1, n + 1)
     )
+
+
+def reduce_to_rest(rho: np.ndarray) -> np.ndarray:
+    """Reduced state of a register on qubits 2..N; for a register of qubits
+    0 and 1 alone, the 1 x 1 matrix of its trace."""
+    n_full = n_qubits_of(rho)
+    if n_full == 2:
+        return np.trace(rho).reshape(1, 1)
+    return partial_trace(rho, tuple(range(2, n_full)))
 
 
 def expm_drive(n, h_x, h_z, cfg, inputs, readouts=()):
@@ -240,7 +261,7 @@ def expm_drive(n, h_x, h_z, cfg, inputs, readouts=()):
     snapshots = []
     for k, s in enumerate(inputs.values):
         psi = input_state(float(s))
-        rest = partial_trace(rho, tuple(range(2, n + 1)))
+        rest = reduce_to_rest(rho)
         rho = np.kron(np.outer(psi, psi.conj()), rest)
         row = k - cfg.n_washout
         if row >= 0:

@@ -594,3 +594,26 @@ class TestCli:
         out = str(tmp_path / "out")
         args = ["run", "--config", str(conf), "--tmi-cap", "-2", "--out", out]
         assert "drive.tmi_cap must be >= 0, got -2" in cli_error(args)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "tasks:\n  correlations: [5]\n",
+                "tasks.correlations: qubit 5 outside chain 1..3",
+            ),
+            ("readouts: [z7]\n", "readouts: operator 'z7' outside register 0..3"),
+            (
+                "tasks:\n  otoc: [{w: z7, v: z1}]\n",
+                "tasks.otoc: operator 'z7' outside register 0..3",
+            ),
+            (
+                "tasks:\n  tmi: [{a: [0], b: [2], c: [9]}]\n",
+                "tasks.tmi: subset qubit 9 outside register 0..3",
+            ),
+        ],
+        ids=["correlations", "readouts", "otoc", "tmi"],
+    )
+    def test_cross_field_range_error_names_key(self, tmp_path, text, message):
+        conf = write_yaml(tmp_path, "model:\n  n: 3\n" + text)
+        assert cli_error(["validate", "--config", str(conf)]) == message

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from helpers import (
     tmi,
     von_neumann_entropy,
 )
+import qrp.diagnostics
 from qrp.diagnostics import (
     CHUNK_BYTES,
     OtocSpec,
@@ -29,7 +34,7 @@ from qrp.diagnostics import (
 from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
 from qrp.hamiltonian import CHAOTIC, IsingParams, spectral_model
 from qrp.pauli import PauliString
-from qrp.states import pack_hermitian, partial_trace
+from qrp.states import pack_hermitian, partial_trace, unpack_hermitian
 
 
 def make_register_mean(s_vals, rests):
@@ -149,7 +154,8 @@ class TestOtoc:
         u = propagator(chaotic3, tau)
         w_tau = u.conj().T @ build_dense(spec.w, 4) @ u
         v = build_dense(spec.v, 4)
-        mean = make_register_mean(ensemble.sample_inputs, ensemble.sample_rest)
+        rests = unpack_hermitian(ensemble.sample_packed)
+        mean = make_register_mean(ensemble.sample_inputs, rests)
         oracle = np.trace(mean @ w_tau @ v @ w_tau @ v)
         value = otoc_curve(ensemble, spec, chaotic3, [tau])[0].real
         assert abs(value - oracle.real) < 1e-10
@@ -441,7 +447,7 @@ class TestMemoryBound:
                 np.stack([random_density(rng, half), random_density(rng, half)]) / 2
             ),
             sample_inputs=np.array([0.3]),
-            sample_rest=random_density(rng, half)[None],
+            sample_packed=pack_hermitian(random_density(rng, half))[None],
         )
         return model, ensemble, DriveConfig().grid
 
@@ -465,3 +471,40 @@ class TestMemoryBound:
         spec = TmiSpec(a=(0,), b=(2,), c=(3, 4))
         peak = self._peak_bytes(tmi_curve, ensemble, spec, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
+
+
+_THREAD_SCRIPT = """
+import sys
+import numpy as np
+from qrp import (
+    DriveConfig, IsingParams, OtocSpec, TmiSpec, correlation_curve,
+    generate_inputs, otoc_curve, run_drive, spectral_model, tmi_curve,
+)
+model = spectral_model(IsingParams(n=6, h_x=0.0, h_z=1.0))
+cfg = DriveConfig(n_washout=10, n_train=20, n_test=20, seed=5, tmi_cap=4)
+_, ensemble = run_drive(cfg, model, ["z1"], generate_inputs(5, cfg.n_total))
+curves = [correlation_curve(ensemble, i, model, cfg.grid) for i in (1, 3, 6)]
+curves += [
+    otoc_curve(ensemble, OtocSpec.of(w, v), model, cfg.grid)
+    for w, v in (("z3", "z1"), ("x0*z4", "y0*x1"))
+]
+curves.append(tmi_curve(ensemble, TmiSpec(a=(0,), b=(2,), c=(3, 4)), model, cfg.grid))
+np.save(sys.argv[1], np.array(curves))
+"""
+
+
+def test_blas_thread_count_does_not_change_diagnostics(tmp_path):
+    # The diagnostics' twin of the drive's thread-count test, on a free
+    # chain, whose drive runs on two parity sectors.
+    src = str(Path(qrp.diagnostics.__file__).resolve().parents[1])
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}.npy"
+        subprocess.run(
+            [sys.executable, "-c", _THREAD_SCRIPT, str(out)], env=env, check=True, timeout=120
+        )
+        values.append(np.load(out))
+    assert values[0].shape == (6, DriveConfig().n_grid)
+    assert np.max(np.abs(values[0] - values[1])) < 1e-12

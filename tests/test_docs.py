@@ -1,5 +1,6 @@
 """The README's library sketch runs as written, the source keeps its
-line-length limit and its one Pauli-operator representation, and
+line-length limit and its one Pauli-operator representation, the drive
+reads its symmetry off the Hamiltonian and not a regime name, and
 ``qrp.experiment`` keeps every name the benchmark's tracer wraps (checked
 with the standard library; no linter needed)."""
 
@@ -67,6 +68,28 @@ def test_one_pauli_representation():
         for word in banned
         if word in line
     ]
+    assert not found, "\n".join(found)
+
+
+def test_symmetry_is_not_keyed_on_a_regime():
+    # The parity sectors are read off the built Hamiltonian.  The drive and
+    # the Hamiltonian module use no parameter point, regime or preset name
+    # (their definitions aside), so no code path depends on one.
+    names = {"FREE_FERMION", "CHAOTIC", "PERTURBED", "SYSTEM_FIELDS", "PRESETS"}
+    words = set(qrp.experiment.SYSTEM_FIELDS) | set(qrp.experiment.PRESET_NAMES)
+    found = []
+    for name in ("driver.py", "hamiltonian.py"):
+        tree = ast.parse((ROOT / "src" / "qrp" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            used = (
+                (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 and node.id in names)
+                or (isinstance(node, ast.Attribute) and node.attr in names)
+                or (isinstance(node, ast.alias) and node.name in names)
+                or (isinstance(node, ast.Constant) and node.value in words)
+            )
+            if used:
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, "\n".join(found)
 
 

@@ -19,12 +19,15 @@ from helpers import (
     input_state,
     propagator,
     random_density,
+    reduce_to_rest,
+    snapshot_rests,
     trace_out_qubit0,
 )
 from qrp.driver import (
     DriveConfig,
     DriveError,
     generate_inputs,
+    rest_sectors,
     run_drive,
     split_qubit0,
 )
@@ -36,21 +39,30 @@ from qrp.states import pack_hermitian, partial_trace
 ORDERS = {"heisenberg": True, "eigenbasis": False}
 
 
-def force_order(mp, order: str, n: int, rows: int) -> list[str]:
+def force_order(mp, order: str, model, rows: int) -> list[str]:
     """Make ``run_drive`` read out ``rows`` stored rests per chunk, all in
     one contraction order; returns the list of orders that ran."""
-    mp.setattr(qrp.driver, "CHUNK_BYTES", rows * 8 * 4 ** (n - 1))
+    packed = sum(len(sector) ** 2 for sector in rest_sectors(model))
+    mp.setattr(qrp.driver, "CHUNK_BYTES", rows * 8 * packed)
     mp.setattr(qrp.driver, "_heisenberg_is_cheaper", lambda *args: ORDERS[order])
     ran = []
     for name in ORDERS:
         method = getattr(qrp.driver._Readout, "_" + name)
 
-        def spy(self, packed, s, method=method, name=name):
+        def spy(self, *args, method=method, name=name):
             ran.append(name)
-            return method(self, packed, s)
+            return method(self, *args)
 
         mp.setattr(qrp.driver._Readout, "_" + name, spy)
     return ran
+
+
+def parity_forbidden(p: PauliString, free: bool) -> bool:
+    """Whether the chain parity makes read-out ``p`` exactly 0: in a chain
+    without longitudinal field, a qubit-0 factor i or z with an odd number
+    of x and y factors on the chain, or x or y with an even number."""
+    flips = sum(axis in "xy" for site, axis in p.terms if site >= 1)
+    return free and (flips % 2 == 1) == ((p.axis_at(0) or "i") in "iz")
 
 
 def assert_physical(rho: np.ndarray) -> None:
@@ -170,15 +182,15 @@ class TestRunDrive:
         values, boundary, mean, rests = reference_drive(cfg, model, labels, inputs)
         for order in ORDERS:
             with pytest.MonkeyPatch.context() as mp:
-                ran = force_order(mp, order, model.n, rows=2)
+                ran = force_order(mp, order, model, rows=2)
                 record, ensemble = run_drive(cfg, model, labels, inputs)
             assert set(ran) == {order}
             for lab in labels:
                 got = record.values[record.index_of(lab)]
                 assert np.max(np.abs(got - values[lab])) < 1e-10
-            assert np.max(np.abs(chain_mean(ensemble) - trace_out_qubit0(mean))) < 1e-10
-            assert ensemble.sample_rest.shape == rests.shape
-            assert np.max(np.abs(ensemble.sample_rest - rests)) < 1e-10
+            assert np.max(np.abs(chain_mean(ensemble, model) - trace_out_qubit0(mean))) < 1e-10
+            assert snapshot_rests(ensemble, model).shape == rests.shape
+            assert np.max(np.abs(snapshot_rests(ensemble, model) - rests)) < 1e-10
 
     def test_continuity_across_injection_for_distant_operators(self):
         # operators on qubits >= 2 see no jump when a new input lands
@@ -246,7 +258,7 @@ class TestRunDrive:
         cfg = small_config(n_washout=10, n_train=10, n_test=10)
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         _, ensemble = run_drive(cfg, model, ["z1"], inputs)
-        assert_physical(chain_mean(ensemble))
+        assert_physical(chain_mean(ensemble, model))
         assert ensemble.max_trace_drift < 1e-12
         assert ensemble.max_hermiticity_residue < 1e-12
 
@@ -272,8 +284,8 @@ class TestRunDrive:
         scratch = np.empty(3 * 4)
         for rest, k, message in cases:
             with pytest.raises(DriveError, match=message):
-                qrp.driver._state_health(rest, k, cfg, scratch)
-        assert qrp.driver._state_health(good, 0, cfg, scratch) == (0.0, 0.0)
+                qrp.driver._state_health([rest], k, cfg, scratch)
+        assert qrp.driver._state_health([good], 0, cfg, scratch) == (0.0, 0.0)
 
     def test_state_health_with_scratch_buffer(self):
         # The scratch buffer's previous content (NaN here) never leaks into
@@ -283,7 +295,7 @@ class TestRunDrive:
         rest[0, 3] = 1e-9j
         scratch = np.full(3 * 16, np.nan)
         for k in (0, 5, 12):
-            assert qrp.driver._state_health(rest, k, cfg, scratch) == (0.0, 1e-9)
+            assert qrp.driver._state_health([rest], k, cfg, scratch) == (0.0, 1e-9)
 
     def test_no_readouts(self):
         # 20 stored rests against 2 grid times: with no operators the
@@ -292,12 +304,12 @@ class TestRunDrive:
         model = spectral_model(IsingParams(n=2, h_x=-0.5, h_z=1.05))
         cfg = small_config(n_grid=2, n_train=10, n_test=10)
         inputs = generate_inputs(cfg.seed, cfg.n_total)
-        assert qrp.driver._heisenberg_is_cheaper(20, model.dim, [], cfg.n_grid)
+        assert qrp.driver._heisenberg_is_cheaper(20, [model.dim], [], cfg.n_grid)
         record, ensemble = run_drive(cfg, model, [], inputs)
         assert record.values.shape == (0, 20, 2)
         _, with_readout = run_drive(cfg, model, ["z1"], inputs)
         np.testing.assert_array_equal(ensemble.mean_packed, with_readout.mean_packed)
-        np.testing.assert_array_equal(ensemble.sample_rest, with_readout.sample_rest)
+        np.testing.assert_array_equal(ensemble.sample_packed, with_readout.sample_packed)
 
     def test_input_length_validated(self):
         params = IsingParams(n=2, h_x=0.0, h_z=1.0)
@@ -350,23 +362,50 @@ class TestAgainstExpmDrive:
                 readouts.append(PauliString.from_terms(chain or {1: "z"}))
             else:
                 readouts.append(PauliString.from_terms({0: axis0, **chain}))
+        self.check(n, h_x, h_z, cfg, readouts, list(ORDERS))
+
+    @pytest.mark.parametrize("order", list(ORDERS))
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_free_chain_matches_expm_drive(self, n, order):
+        # h_x = 0 exactly, which Hypothesis seldom draws: two parity sectors
+        # (of sizes 1 and 0 at N = 1, 1 and 1 at N = 2).  Every qubit-0 axis
+        # with a parity-even and a parity-odd chain part; chunks of three
+        # stored rests end inside the training (5) and testing (7) phases.
+        even = {1: "z"} if n == 1 else {1: "x", n: "y"}
+        odd = {1: "x"} if n == 1 else {1: "z", n: "y"}
+        readouts = [
+            PauliString.from_terms(chain if axis0 == "i" else {0: axis0, **chain})
+            for axis0 in "ixyz"
+            for chain in (even, odd)
+        ]
+        cfg = DriveConfig(
+            t_in=1.3, n_grid=3, n_washout=2, n_train=5, n_test=7, seed=5, tmi_cap=4
+        )
+        self.check(n, 0.0, 1.0, cfg, readouts, [order])
+
+    @staticmethod
+    def check(n, h_x, h_z, cfg, readouts, orders):
         model = spectral_model(IsingParams(n=n, h_x=h_x, h_z=h_z))
-        inputs = generate_inputs(seed, cfg.n_total)
+        inputs = generate_inputs(cfg.seed, cfg.n_total)
         _, mean, snapshots, values = expm_drive(n, h_x, h_z, cfg, inputs, readouts)
-        want_rests = [partial_trace(rho, tuple(range(2, n + 1))) for rho in snapshots]
-        for order in ORDERS:
+        want_rests = [reduce_to_rest(rho) for rho in snapshots]
+        forbidden = [parity_forbidden(p, h_x == 0.0) for p in readouts]
+        for order in orders:
             with pytest.MonkeyPatch.context() as mp:
-                ran = force_order(mp, order, n, rows=3)
+                ran = force_order(mp, order, model, rows=3)
                 record, ensemble = run_drive(cfg, model, readouts, inputs)
-            assert set(ran) == {order}
-            for p in readouts:
+            # With every read-out forbidden, there is nothing to evaluate.
+            assert set(ran) == (set() if all(forbidden) else {order})
+            for p, zero in zip(readouts, forbidden):
                 got = record.values[record.index_of(p.label())]
                 assert np.max(np.abs(got - values[p.label()])) < 1e-10
-            assert np.max(np.abs(chain_mean(ensemble) - trace_out_qubit0(mean))) < 1e-10
-            assert_physical(chain_mean(ensemble))
+                assert not zero or np.all(got == 0.0), p.label()
+            assert np.max(np.abs(chain_mean(ensemble, model) - trace_out_qubit0(mean))) < 1e-10
+            assert_physical(chain_mean(ensemble, model))
             assert ensemble.n_samples == len(want_rests)
             if want_rests:
-                assert np.max(np.abs(ensemble.sample_rest - np.array(want_rests))) < 1e-10
+                got_rests = snapshot_rests(ensemble, model)
+                assert np.max(np.abs(got_rests - np.array(want_rests))) < 1e-10
 
 
 class TestCorrelationsAreReadouts:
@@ -384,7 +423,7 @@ class TestCorrelationsAreReadouts:
         labels = [f"z0*z{i}" for i in range(1, model.n + 1)]
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         with pytest.MonkeyPatch.context() as mp:
-            ran = force_order(mp, order, model.n, rows=5)
+            ran = force_order(mp, order, model, rows=5)
             record, ensemble = run_drive(cfg, model, labels, inputs)
         assert set(ran) == {order}
         for i, label in enumerate(labels, start=1):
@@ -410,7 +449,7 @@ class TestReadoutEdgeRows:
         split = [split_qubit0(parse_operator_label(lab), model.n) for lab in labels]
         readout = qrp.driver._Readout(model, split, grid)
         with pytest.MonkeyPatch.context() as mp:
-            ran = force_order(mp, order, model.n, rows=len(s))
+            ran = force_order(mp, order, model, rows=len(s))
             got = readout(pack_hermitian(rests), s)
         assert set(ran) == {order}
         for o, label in enumerate(labels):
@@ -431,14 +470,14 @@ class TestReadoutOrderChoice:
     def test_choices(self):
         choose = qrp.driver._heisenberg_is_cheaper
         # fig4 at N = 8 on a 50/100/100 drive: 200 stored rests, one chunk
-        assert choose(200, 2**8, ["i"] * 8, 50)
+        assert choose(200, [2**8], ["i"] * 8, 50)
         # 20 terms of H at N = 7, 300 stored rests
-        assert choose(300, 2**7, ["i"] * 20, 50)
+        assert choose(300, [2**7], ["i"] * 20, 50)
         # N = 9 and 10 with the appA read-outs on a 10/20/20 drive
-        assert not choose(40, 2**9, ["i"] * 9, 50)
-        assert not choose(16, 2**10, ["i"] * 10, 50)
+        assert not choose(40, [2**9], ["i"] * 9, 50)
+        assert not choose(16, [2**10], ["i"] * 10, 50)
         # a one-interval chunk never pays for the blocks
-        assert not choose(1, 2**7, ["i", "x", "y", "z"], 50)
+        assert not choose(1, [2**7], ["i", "x", "y", "z"], 50)
 
 
 class TestDriveMemoryBound:
@@ -465,7 +504,7 @@ class TestDriveMemoryBound:
             )
             inputs = generate_inputs(cfg.seed, cfg.n_total)
             with pytest.MonkeyPatch.context() as mp:
-                force_order(mp, order, model.n, rows=8)
+                force_order(mp, order, model, rows=8)
                 budget = qrp.driver.CHUNK_BYTES
                 tracemalloc.start()
                 try:

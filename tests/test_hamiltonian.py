@@ -116,6 +116,56 @@ class TestDiagonalize:
         assert not spectral_model(params_for(2, (0.0, 1.0))).degenerate_ground
 
 
+class TestParitySectors:
+    """The parity symmetry is read off the built H: two sectors exactly when
+    no entry of H joins an even- and an odd-parity basis state."""
+
+    @pytest.mark.parametrize(
+        "fields, count",
+        [(FREE_FERMION, 2), (PERTURBED, 1), (CHAOTIC, 1)],
+        ids=["free", "perturbed", "chaotic"],
+    )
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sector_count_and_spectrum(self, n, fields, count):
+        params = params_for(n, fields)
+        model = spectral_model(params)
+        assert len(model.sectors) == count
+        ham = build_hamiltonian(params)
+        dense = np.linalg.eigh(ham)[0]
+        assert np.max(np.abs(model.eigenvalues - dense)) <= 1e-12
+        # Each sector's rows and columns cover the register once, and the
+        # eigenvectors vanish outside them.
+        rows = np.concatenate([r for r, _ in model.sectors])
+        cols = np.concatenate([c for _, c in model.sectors])
+        assert sorted(rows) == list(range(params.dim))
+        assert sorted(cols) == list(range(params.dim))
+        outside = model.eigenvectors.copy()
+        for r, c in model.sectors:
+            outside[np.ix_(r, c)] = 0.0
+        assert not np.any(outside)
+
+    def test_free_reconstruction_and_orthonormality(self):
+        model = spectral_model(params_for(5, FREE_FERMION))
+        v, e = model.eigenvectors, model.eigenvalues
+        rebuilt = (v * e) @ v.conj().T
+        ham = build_hamiltonian(model.params)
+        assert np.max(np.abs(rebuilt - ham)) <= 1e-10 * np.max(np.abs(ham))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(len(e)))) <= 1e-10
+        assert np.all(np.diff(e) >= 0.0)
+
+    def test_sectors_follow_the_matrix_not_the_fields(self):
+        # A random Hermitian H with its even-odd entries zeroed splits; the
+        # same H with one such entry pair left in place does not.
+        rng = np.random.default_rng(8)
+        ham = random_hermitian(rng, 8)
+        odd = np.array([bin(i).count("1") % 2 for i in range(8)], dtype=bool)
+        ham[odd[:, None] != odd[None, :]] = 0.0
+        split = diagonalize(ham, params_for(3, CHAOTIC))
+        assert [list(r) for r, _ in split.sectors] == [[0, 3, 5, 6], [1, 2, 4, 7]]
+        ham[0, 1] = ham[1, 0] = 1e-300
+        assert len(diagonalize(ham, params_for(3, FREE_FERMION)).sectors) == 1
+
+
 def ground(n, fields):
     """Lowest eigenvector of the chain, the drive's initial chain state."""
     return spectral_model(params_for(n, fields)).eigenvectors[:, 0]
