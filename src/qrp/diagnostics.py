@@ -10,10 +10,18 @@ of them, and OTOCs use them in the Hamiltonian eigenbasis, where every grid
 time is a diagonal phase.  Entropies are not linear, so the
 mutual-information curve averages per-snapshot values.
 
+OTOCs and TMI read the sector blocks that the drive stores
+(``driver.rest_sectors``) and work per sector of the Hamiltonian
+(``SpectralModel.sectors``), like the drive: nothing is scattered into a
+dense 2**N matrix, and where H conserves the chain parity every product runs
+on blocks of half the size.  With one sector the blocks are the dense
+matrices.
+
 OTOC and TMI intermediates that grow with the number of grid times are built
 one chunk of times at a time, each chunk sized to stay within ``CHUNK_BYTES``
 (or one time per chunk where a single time needs more), so a curve holds a
-few 2**N x 2**N matrices plus one chunk however long the grid is.
+few 2**N x 2**N matrices' worth of blocks plus one chunk however long the
+grid is.
 """
 
 from __future__ import annotations
@@ -22,10 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import StateEnsemble, _Readout, rest_sectors, split_qubit0
-from .hamiltonian import SpectralModel, eigenbasis_operator
+from .driver import (
+    StateEnsemble,
+    _eigenbasis_blocks,
+    _Readout,
+    rest_sectors,
+    split_qubit0,
+)
+from .hamiltonian import SpectralModel, sector_bases
 from .pauli import PauliString, as_pauli_string
-from .states import partial_trace, spectrum_entropy, unpack_sectors
+from .states import partial_trace, spectrum_entropy, unpack_hermitian
 
 CHUNK_BYTES = 8 * 2**20
 _COMPLEX_BYTES = 16
@@ -103,6 +117,14 @@ def correlation_curve(
     return readout(ensemble.mean_packed, np.array([1.0, 0.0]))[0].sum(axis=0)
 
 
+def _sector_blocks(packed: np.ndarray, model: SpectralModel) -> list[np.ndarray]:
+    """The Hermitian blocks of sector-packed rows, one array per rest sector
+    (``rest_sectors``); leading axes of ``packed`` are a stack."""
+    sizes = [len(rows) ** 2 for rows in rest_sectors(model)]
+    bounds = np.cumsum([0] + sizes)
+    return [unpack_hermitian(packed[..., a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def otoc_curve(
     ensemble: StateEnsemble,
     spec: OtocSpec,
@@ -120,28 +142,50 @@ def otoc_curve(
     qubit-0 factor is +1 or -1 (Pauli operators commute or anticommute).  The
     chain factor is traced against the chain mean state in the eigenbasis,
     where W_c(tau)_ab = exp(i (E_a - E_b) tau) W_c_ab.
+
+    Everything is kept as blocks over the Hamiltonian's sectors: the mean
+    state keeps each sector, and W_c and V_c move sector q to q + w and
+    q + v (``driver._eigenbasis_blocks``), so WV moves it to q + w + v and the trace
+    takes, per sector, one block of WV out and one back.  With one sector
+    these are the dense products.
     """
     n = model.n
     w0, w_chain = split_qubit0(spec.w, n)
     v0, v_chain = split_qubit0(spec.v, n)
     sign = -1.0 if "i" not in (w0, v0) and w0 != v0 else 1.0
-    # The chain mean state in the eigenbasis, V^dag sigma V: sigma is
-    # block-diagonal on qubit 1, and block a meets only V_a, the rows of V
-    # where qubit 1 is a.
-    vecs_0, vecs_1 = np.split(model.eigenvectors, 2)
-    sigma_0, sigma_1 = unpack_sectors(ensemble.mean_packed, rest_sectors(model))
-    state = vecs_0.conj().T @ (sigma_0 @ vecs_0)
-    state += vecs_1.conj().T @ (sigma_1 @ vecs_1)
-    w_eig = eigenbasis_operator(model, w_chain)
-    v_eig = eigenbasis_operator(model, v_chain)
+    # The chain mean state in each sector's eigenbasis, V^dag sigma V: sigma
+    # is block-diagonal on qubit 1, and the rows of chain sector q where
+    # qubit 1 is 0 (the first n_q) meet rest sector q of the first mean
+    # block, those where it is 1 rest sector q + 1 of the second.
+    bases = sector_bases(model)
+    q_count = len(bases)
+    sigmas = _sector_blocks(ensemble.mean_packed, model)
+    states = []
+    for q, (vecs, _) in enumerate(bases):
+        low = len(sigmas[q][0])
+        vecs_0, vecs_1 = vecs[:low], vecs[low:]
+        state = vecs_0.conj().T @ (sigmas[q][0] @ vecs_0)
+        state += vecs_1.conj().T @ (sigmas[(q + 1) % q_count][1] @ vecs_1)
+        states.append(state)
+    w_shift, w_eig = _eigenbasis_blocks(model, w_chain)
+    v_shift, v_eig = _eigenbasis_blocks(model, v_chain)
+    shift = w_shift + v_shift
     taus = np.asarray(taus, dtype=float)
     values = np.zeros(len(taus), dtype=complex)
-    for chunk in _tau_chunks(len(taus), 3 * model.dim**2 * _COMPLEX_BYTES):
-        phases = np.exp(1j * np.outer(taus[chunk], model.eigenvalues))
-        w_tau = phases[:, :, None] * w_eig
-        w_tau *= phases.conj()[:, None, :]
-        wv = w_tau @ v_eig
-        values[chunk] = sign * np.einsum("tij,tji->t", state @ wv, wv)
+    sizes = [len(energies) for _, energies in bases]
+    for chunk in _tau_chunks(len(taus), 3 * sum(d * d for d in sizes) * _COMPLEX_BYTES):
+        phases = [np.exp(1j * np.outer(taus[chunk], e)) for _, e in bases]
+        wv = []  # wv[q]: the block of W(tau) V from sector q to q + shift
+        for q in range(q_count):
+            p = (q + v_shift) % q_count
+            w_tau = phases[(p + w_shift) % q_count][:, :, None] * w_eig[p]
+            w_tau *= phases[p].conj()[:, None, :]
+            wv.append(w_tau @ v_eig[q])
+        terms = []
+        for q in range(q_count):
+            back = (q + shift) % q_count
+            terms.append(np.einsum("tij,tji->t", states[back] @ wv[q], wv[back]))
+        values[chunk] = sign * sum(terms[1:], terms[0])
     return values
 
 
@@ -152,20 +196,48 @@ _TMI_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
 def _tmi_of_joint(joint: np.ndarray, spec: TmiSpec) -> np.ndarray:
     """Tripartite mutual information of stacked joint states on ``spec.union``.
 
-    The seven reduced states are zero-padded to the joint dimension, which
-    adds only zero eigenvalues, so one stacked ``eigvalsh`` gives every
-    entropy.
+    Each of the seven entropies is taken at its part's own dimension; parts
+    of one size share one stacked ``eigvalsh``.
     """
     position = {q: i for i, q in enumerate(spec.union)}
     parts = (spec.a, spec.b, spec.c, spec.a + spec.b, spec.a + spec.c, spec.b + spec.c)
-    dim = joint.shape[-1]
-    stack = np.zeros(joint.shape[:-2] + (7, dim, dim), dtype=complex)
-    for j, part in enumerate(parts):
-        reduced = partial_trace(joint, tuple(sorted(position[q] for q in part)))
-        size = reduced.shape[-1]
-        stack[..., j, :size, :size] = reduced
-    stack[..., 6, :, :] = joint
-    return spectrum_entropy(np.linalg.eigvalsh(stack)) @ _TMI_SIGNS
+    reduced = [
+        partial_trace(joint, tuple(sorted(position[q] for q in part))) for part in parts
+    ]
+    reduced.append(joint)
+    total = np.zeros(joint.shape[:-2])
+    for size in {part.shape[-1] for part in reduced}:
+        members = [j for j, part in enumerate(reduced) if part.shape[-1] == size]
+        stack = np.stack([reduced[j] for j in members], axis=-3)
+        total += spectrum_entropy(np.linalg.eigvalsh(stack)) @ _TMI_SIGNS[members]
+    return total
+
+
+def _kept_layout(model: SpectralModel, kept: list[int]) -> tuple[list, list]:
+    """How ``tmi_curve`` orders the rows of each chain sector, and which kept
+    states each sector's rows carry.
+
+    A row is a chain basis state (k, o): k on the ``kept`` chain qubits, o on
+    the others.  Chain sector p is ordered by (e, k, o), e the sector of o
+    (its parity with two sectors, else 0); for each e, k then runs over the
+    kept states of sector p + e.  Returns, per sector, that order as local
+    row indices, and, per sector, its kept states in ascending order.
+    """
+    n, q = model.n, len(model.sectors)
+    others = [i for i in range(n) if i not in kept]
+    # Basis states sorted by (k, o), then stably by e.
+    order = np.arange(model.dim).reshape((2,) * n).transpose(kept + others).ravel()
+    others_mask = sum(1 << (n - 1 - i) for i in others)
+    sector_of_o = np.bitwise_count(order & others_mask) % q
+    ordered = order[np.argsort(sector_of_o, kind="stable")]
+    orders = []
+    for rows, _ in model.sectors:
+        local = np.full(model.dim, -1)
+        local[rows] = np.arange(len(rows))
+        mine = local[ordered]
+        orders.append(mine[mine >= 0])
+    sector_of_k = np.bitwise_count(np.arange(2 ** len(kept))) % q
+    return orders, [np.flatnonzero(sector_of_k == p) for p in range(q)]
 
 
 def tmi_curve(
@@ -184,51 +256,92 @@ def tmi_curve(
     c = (sqrt(s), sqrt(1-s)) and L_a = U(tau)(|a>_1 (x) 1) the half of the
     columns of U(tau) where qubit 1 is a; only the chain qubits of the
     partition survive the partial trace.
+
+    ``rest`` is block-diagonal on the rest sectors.  On rest sector r, L_a
+    is nonzero only on the rows of chain sector r + a, a block of the
+    sector's propagator, so every product runs per sector.  Tracing out the
+    other chain qubits o pairs rows (k, o) and (k', o), whose kept states k
+    lie in sectors r + a + e and r + b + e for o in sector e
+    (``_kept_layout``); each pair of sectors fills one block of the joint
+    state.  With one sector there is one block of each kind.
     """
     if ensemble.n_samples == 0:
         raise ValueError("ensemble retains no snapshots (tmi_cap was 0)")
-    n, dim = model.n, model.dim
-    half = dim // 2
+    n = model.n
     union = spec.union
     if union[-1] > n:
         raise ValueError(f"tmi subset qubit {union[-1]} outside register 0..{n}")
     with_ref = union[0] == 0
     kept = [q - 1 for q in union if q >= 1]
     kept_dim = 2 ** len(kept)
-    # Rows reordered so the kept chain qubits lead: the partial trace over the
-    # others is then a contraction over the trailing row index.
-    others = [q for q in range(n) if q not in kept]
-    order = np.arange(dim).reshape((2,) * n).transpose(kept + others).ravel()
-    vecs_rows = model.eigenvectors[order]
-    vecs_h = model.eigenvectors.conj().T
+    bases = sector_bases(model)
+    q_count = len(bases)
+    orders, kept_states = _kept_layout(model, kept)
+    # Per chain sector p: the eigenvectors with rows in ``orders[p]``, and the
+    # column halves of V^dag where qubit 1 is 0 (rest sector p) and 1 (rest
+    # sector p + 1).
+    halves = [len(rows) for rows in rest_sectors(model)]
+    vecs_rows = [vecs[order] for (vecs, _), order in zip(bases, orders)]
+    vecs_h = [vecs.conj().T for vecs, _ in bases]
+    k_size = kept_dim // q_count
+    n_e = q_count if len(kept) < n else 1
+    joint_dim = 2 * kept_dim if with_ref else kept_dim
+    # rows_of[a][p]: the joint's rows of qubit-0 block a (with the
+    # reference) and of the kept states of sector p
+    rows_of = [
+        [(a * kept_dim if with_ref else 0) + states for states in kept_states]
+        for a in (0, 1)
+    ]
 
-    rests = unpack_sectors(ensemble.sample_packed, rest_sectors(model))
+    # The blocks (a, b) built, by b: (0, 0) and (1, 1), and (1, 0) with the
+    # reference; (0, 1) is the conjugate transpose of (1, 0).
+    pairs = [(0, (0, 1) if with_ref else (0,)), (1, (1,))]
+    samples = ensemble.sample_inputs
+    rest_blocks = _sector_blocks(ensemble.sample_packed, model)
     taus = np.asarray(taus, dtype=float)
     totals = np.zeros(len(taus))
-    for chunk in _tau_chunks(len(taus), 4 * dim * dim * _COMPLEX_BYTES):
+    # Per grid time: the scaled eigenvectors, both halves of L and one
+    # product with a rest, per sector, within three quarters of
+    # ``CHUNK_BYTES``; snapshots are taken in groups whose joint states and
+    # their parts fit the last quarter.
+    per_tau = 4 * sum(len(order) ** 2 for order in orders) * _COMPLEX_BYTES
+    for chunk in _tau_chunks(len(taus), per_tau * 4 // 3):
         count = chunk.stop - chunk.start
-        phases = np.exp(-1j * np.outer(taus[chunk], model.eigenvalues))
-        scaled = (vecs_rows[None, :, :] * phases[:, None, :]).reshape(count * dim, dim)
-        blocks = [scaled @ vecs_h[:, :half], scaled @ vecs_h[:, half:]]
-        del scaled
-        shaped = [blk.reshape(count, kept_dim, -1) for blk in blocks]
-        for s, rest in zip(ensemble.sample_inputs, rests):
-            # L_b rest L_a^dag = L_b conj(L_a rest)^T for Hermitian rest, so
-            # each half needs one conjugated product and no conjugate copy
-            # of the blocks; the halves are taken one at a time.
-            moved = blocks[0] @ rest
-            np.conjugate(moved, out=moved)
-            moved_t = moved.reshape(count, kept_dim, -1).transpose(0, 2, 1)
-            j00 = s * (shaped[0] @ moved_t)
-            if with_ref:
-                j10 = np.sqrt(s * (1.0 - s)) * (shaped[1] @ moved_t)
-            moved = blocks[1] @ rest
-            np.conjugate(moved, out=moved)
-            moved_t = moved.reshape(count, kept_dim, -1).transpose(0, 2, 1)
-            j11 = (1.0 - s) * (shaped[1] @ moved_t)
-            if with_ref:
-                joint = np.block([[j00, j10.conj().transpose(0, 2, 1)], [j10, j11]])
-            else:
-                joint = j00 + j11
-            totals[chunk] += _tmi_of_joint(joint, spec)
+        # blocks[p][a]: L_a on the rest sector r with r + a = p
+        blocks = []
+        for (_, energies), rows, vh, low in zip(bases, vecs_rows, vecs_h, halves):
+            phases = np.exp(-1j * np.outer(taus[chunk], energies))
+            scaled = (rows[None, :, :] * phases[:, None, :]).reshape(-1, len(rows))
+            blocks.append((scaled @ vh[:, :low], scaled @ vh[:, low:]))
+            del scaled
+        # ls[r]: L_0 and L_1 on rest sector r; shaped[r]: their rows split
+        # by the sector e of the other qubits and by the kept states
+        ls = [(blocks[r][0], blocks[(r + 1) % q_count][1]) for r in range(q_count)]
+        shaped = [[blk.reshape(count, n_e, k_size, -1) for blk in pair] for pair in ls]
+        per_sample = 3 * count * joint_dim**2 * _COMPLEX_BYTES
+        group = max(1, CHUNK_BYTES // (4 * per_sample))
+        for first in range(0, len(samples), group):
+            joints = np.zeros(
+                (min(group, len(samples) - first), count, joint_dim, joint_dim), complex
+            )
+            for i, joint in enumerate(joints, first):
+                s = samples[i]
+                weight = {(0, 0): s, (1, 1): 1.0 - s, (1, 0): np.sqrt(s * (1.0 - s))}
+                for r, rests in enumerate(rest_blocks):
+                    for b, heads in pairs:
+                        # L_a rest L_b^dag = L_a conj(L_b rest)^T for Hermitian
+                        # rest: one conjugated product per half, taken in turn.
+                        moved = ls[r][b] @ rests[i]
+                        np.conjugate(moved, out=moved)
+                        moved_t = moved.reshape(count, n_e, k_size, -1).swapaxes(-1, -2)
+                        for a in heads:
+                            part = weight[a, b] * (shaped[r][a] @ moved_t)
+                            for e in range(n_e):
+                                top = rows_of[a][(r + a + e) % q_count]
+                                left = rows_of[b][(r + b + e) % q_count]
+                                joint[:, top[:, None], left] += part[:, e]
+                if with_ref:
+                    lower = joint[:, kept_dim:, :kept_dim]
+                    joint[:, :kept_dim, kept_dim:] = lower.conj().swapaxes(-1, -2)
+            totals[chunk] += _tmi_of_joint(joints, spec).sum(axis=0)
     return totals / ensemble.n_samples

@@ -36,12 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (
-    SpectralModel,
-    eigenbasis_operator,
-    sector_bases,
-    sector_propagators,
-)
+from .hamiltonian import SpectralModel, sector_bases, sector_propagators
 from .pauli import PauliString, as_pauli_string, minus_eigenspace, minus_rows
 from .states import pack_hermitian, unpack_sectors
 
@@ -222,6 +217,35 @@ def _sector_spaces(chain: PauliString, model: SpectralModel) -> list:
     return spaces
 
 
+def _eigenbasis_blocks(
+    model: SpectralModel, chain: PauliString
+) -> tuple[int, list[np.ndarray]]:
+    """V^dag O V for a chain Pauli string O, V the eigenvectors, as the
+    shift of O (``_parity_shift``) and, per sector q, its block from sector
+    q to sector q + shift in the sectors' own eigenbases (``sector_bases``).
+
+    With B a basis of the -1 eigenspace of O (``pauli.minus_eigenspace``),
+    O = I - 2 B B^dag, so the block is delta I - 2 D_(q+shift)^dag D_q with
+    D_q = B^dag V_q, the row gather of half the size that sector q feeds
+    (``_sector_spaces``).  Every block is Hermitian where the shift is 0.
+    """
+    bases = sector_bases(model)
+    shift = _parity_shift(chain, len(bases))
+    spaces = _sector_spaces(chain, model)
+    d = [
+        minus_rows(vecs, space, np.empty((2, len(space[0]), len(vecs)), complex))
+        for (vecs, _), space in zip(bases, spaces)
+    ]
+    blocks = []
+    for q, d_q in enumerate(d):
+        op = d[(q + shift) % len(d)].conj().T @ d_q
+        op *= -2.0
+        if not shift:
+            op.flat[:: len(op) + 1] += 1.0
+        blocks.append(op)
+    return shift, blocks
+
+
 def _heisenberg_is_cheaper(
     rows: int, sizes: list[int], axes: list[str], n_grid: int
 ) -> bool:
@@ -393,9 +417,16 @@ class _Readout:
             # Tr[state * op]: for Hermitian V^dag O V that is its conjugate,
             # taken in place and so C-contiguous.  With a transposed view, a
             # row took 59 ms instead of 45 ms at N = 9 (appA read-outs, 2 cores).
-            self.ops_eig_t = [eigenbasis_operator(model, c) for c in self.chains]
-            for op in self.ops_eig_t:
-                np.conj(op, out=op)
+            self.ops_eig_t = []
+            for chain in self.chains:
+                shift, blocks = _eigenbasis_blocks(model, chain)
+                op = blocks[0]  # one sector: the block is the operator
+                if len(blocks) > 1:
+                    op = np.zeros((model.dim, model.dim), dtype=complex)
+                    for q, block in enumerate(blocks):
+                        target = model.sectors[(q + shift) % len(blocks)][1]
+                        op[np.ix_(target, model.sectors[q][1])] = block
+                self.ops_eig_t.append(np.conj(op, out=op))
         phases = np.exp(-1j * np.outer(self.grid, model.eigenvalues))  # (n_grid, dim)
         phases_ct = phases.conj().T
         axes = set(self.axes)

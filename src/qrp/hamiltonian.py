@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, minus_eigenspace, minus_rows, signed_permutation
+from .pauli import PauliString, signed_permutation
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,12 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
     if herm_residue > 1e-10:
         raise ValueError(f"Hamiltonian is not Hermitian (residue {herm_residue:.3e})")
     classes = _parity_classes(hamiltonian)
+    whole = len(classes) == 1  # then H itself: no sector copy, and no scatter
     try:
-        parts = [np.linalg.eigh(hamiltonian[np.ix_(rows, rows)]) for rows in classes]
+        parts = [
+            np.linalg.eigh(hamiltonian if whole else hamiltonian[np.ix_(rows, rows)])
+            for rows in classes
+        ]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         norm = np.max(np.abs(hamiltonian))
         raise RuntimeError(f"eigensolver failed (max |H| = {norm:.3e}): {exc}") from exc
@@ -137,13 +141,18 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
     order = np.argsort(unsorted, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(len(order))  # sorted position of each eigenpair
-    vectors = np.zeros((params.dim, params.dim), dtype=complex)
-    sectors, start = [], 0
-    for rows, (energies, block) in zip(classes, parts):
-        cols = column[start : start + len(energies)]
-        vectors[np.ix_(rows, cols)] = block
-        sectors.append((rows, cols))
-        start += len(energies)
+    if whole:  # eigh's energies ascend, so ``order`` is the identity
+        vectors = parts[0][1]
+        sectors = [(classes[0], column)]
+    else:
+        vectors = np.zeros((params.dim, params.dim), dtype=complex)
+        sectors, start = [], 0
+        for rows, (energies, block) in zip(classes, parts):
+            cols = column[start : start + len(energies)]
+            vectors[np.ix_(rows, cols)] = block
+            sectors.append((rows, cols))
+            start += len(energies)
+    del parts  # the blocks are in ``vectors`` now; fixing phases copies it
     vectors = _fix_phases(vectors)
     energies = unsorted[order]
     scale = max(np.max(np.abs(energies)), 1.0)
@@ -188,18 +197,3 @@ def sector_propagators(bases, tau: float) -> list[np.ndarray]:
         (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
         for vecs, energies in bases
     ]
-
-
-def eigenbasis_operator(model: SpectralModel, chain: PauliString) -> np.ndarray:
-    """V^dag O V for a Pauli string O on the chain, V the eigenvectors.
-
-    With B a basis of the -1 eigenspace of O (``pauli.minus_eigenspace``),
-    O = I - 2 B B^dag, so the result is I - 2 W^dag W with W = B^dag V, a
-    row gather of half the size.  It is Hermitian.
-    """
-    minus = np.empty((2, model.dim // 2, model.dim), dtype=complex)
-    w = minus_rows(model.eigenvectors, minus_eigenspace(chain, model.n), minus)
-    op = w.conj().T @ w
-    op *= -2.0
-    op.flat[:: model.dim + 1] += 1.0
-    return op

@@ -9,7 +9,6 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from qrp.diagnostics import TmiSpec, _tmi_of_joint
 from qrp.driver import StateEnsemble, rest_sectors
 from qrp.hamiltonian import SpectralModel, chain_propagator
 from qrp.pauli import PauliString
@@ -87,13 +86,21 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(spectrum_entropy(np.linalg.eigvalsh(rho)))
 
 
-def tmi(state: np.ndarray, spec: TmiSpec) -> float:
-    """Tripartite mutual information of one register state.
+def tmi(state: np.ndarray, spec) -> float:
+    """Tripartite mutual information of one register state, for a spec with
+    qubit subsets ``a``, ``b`` and ``c``.
 
-    S_A + S_B + S_C - S_AB - S_AC - S_BC + S_ABC, with all entropies taken
-    from partial traces of the joint reduced state on A u B u C.
+    S_A + S_B + S_C - S_AB - S_AC - S_BC + S_ABC, each entropy from one
+    partial trace of ``state`` and one ``eigvalsh``, independently of
+    ``qrp.diagnostics``.
     """
-    return float(_tmi_of_joint(partial_trace(state, spec.union), spec))
+    a, b, c = spec.a, spec.b, spec.c
+    signed = [(1, a), (1, b), (1, c), (-1, a + b), (-1, a + c), (-1, b + c)]
+    signed.append((1, a + b + c))
+    return sum(
+        sign * von_neumann_entropy(partial_trace(state, tuple(sorted(part))))
+        for sign, part in signed
+    )
 
 
 def propagator(model: SpectralModel, tau: float) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -27,12 +27,19 @@ from qrp.diagnostics import (
     CHUNK_BYTES,
     OtocSpec,
     TmiSpec,
+    _tmi_of_joint,
     correlation_curve,
     otoc_curve,
     tmi_curve,
 )
-from qrp.driver import DriveConfig, StateEnsemble, generate_inputs, run_drive
-from qrp.hamiltonian import CHAOTIC, IsingParams, spectral_model
+from qrp.driver import (
+    DriveConfig,
+    StateEnsemble,
+    generate_inputs,
+    rest_sectors,
+    run_drive,
+)
+from qrp.hamiltonian import CHAOTIC, FREE_FERMION, IsingParams, spectral_model
 from qrp.pauli import PauliString
 from qrp.states import pack_hermitian, partial_trace, unpack_hermitian
 
@@ -285,6 +292,10 @@ class TestTmi:
             + s_vn(partial_trace(rho, (0, 2, 3)))
         )
         assert abs(tmi(rho, spec) - expected) < 1e-10
+        # the library's entropies, each at its part's own dimension, on a
+        # stack of joint states
+        joint = partial_trace(np.stack([rho, rho]), spec.union)
+        assert np.max(np.abs(_tmi_of_joint(joint, spec) - expected)) < 1e-10
 
     def test_curve_averages_snapshots(self, chaotic3):
         rng = np.random.default_rng(41)
@@ -325,20 +336,6 @@ class TestEndToEndDiagnostics:
         assert abs(curve[0]) < 1e-8  # info still local right after injection
 
 
-def _oracle_tmi(rho, spec):
-    def s_vn(qubits):
-        lam = np.linalg.eigvalsh(partial_trace(rho, tuple(sorted(qubits))))
-        lam = lam[lam > 1e-12]
-        return float(-np.sum(lam * np.log2(lam)))
-
-    a, b, c = spec.a, spec.b, spec.c
-    return (
-        s_vn(a) + s_vn(b) + s_vn(c)
-        - s_vn(a + b) - s_vn(a + c) - s_vn(b + c)
-        + s_vn(a + b + c)
-    )
-
-
 _PAULI_STRINGS = st.dictionaries(
     st.integers(0, 4), st.sampled_from("xyz"), min_size=1, max_size=3
 )
@@ -348,6 +345,26 @@ class TestChainLevelAgainstExpm:
     """Every diagnostic against a full-register ``expm`` evolution of a short
     drive, for random chains, fields, intervals and operators."""
 
+    # h_x = 0: two parity sectors.  Sector-flipping V (x1, y0*x1), W with a
+    # parity-odd chain part, and TMI partitions with and without qubit 0,
+    # with and without chain qubits outside the union.
+    @example(
+        n=2, h_x=0.0, h_z=1.0, t_in=1.3, lengths=(1, 2, 3), seed=5,
+        otoc_terms=[({2: "y"}, {1: "x"}), ({1: "z", 2: "x"}, {0: "y", 1: "x"})],
+        order=(0, 1, 2, 3, 4), sizes=(1, 1, 1),
+    )
+    @example(
+        n=3, h_x=0.0, h_z=0.7, t_in=2.1, lengths=(2, 3, 2), seed=11,
+        otoc_terms=[
+            ({0: "x", 2: "x"}, {1: "x"}), ({3: "y", 2: "z"}, {0: "y", 1: "x"})
+        ],
+        order=(0, 2, 3, 1, 4), sizes=(1, 1, 1),
+    )
+    @example(
+        n=4, h_x=0.0, h_z=1.2, t_in=0.9, lengths=(0, 2, 4), seed=3,
+        otoc_terms=[({2: "x", 3: "z"}, {1: "x"}), ({4: "y"}, {0: "y", 1: "x"})],
+        order=(1, 3, 4, 0, 2), sizes=(1, 1, 1),
+    )
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.sampled_from([2, 3, 4]),
@@ -419,7 +436,7 @@ class TestChainLevelAgainstExpm:
             specs.append(TmiSpec(a=(1,), b=(2,), c=tuple(range(3, n + 1))))
         for spec in specs:
             want = [
-                np.mean([_oracle_tmi(u @ rho @ u.conj().T, spec) for rho in snapshots])
+                np.mean([tmi(u @ rho @ u.conj().T, spec) for rho in snapshots])
                 for u in units
             ]
             got = tmi_curve(ensemble, spec, model, taus)
@@ -427,7 +444,8 @@ class TestChainLevelAgainstExpm:
 
 
 class TestMemoryBound:
-    """Peak traced memory of one 50-point curve at N = 9.
+    """Peak traced memory of one 50-point curve at N = 9, on a chaotic chain
+    (one sector) and a free one (two parity sectors).
 
     The bound is one chunk of grid times plus eight 2^9 x 2^9 complex chain
     matrices (32 MiB), i.e. five times the 8 MiB chunk budget.  A cache of 50
@@ -468,6 +486,38 @@ class TestMemoryBound:
 
     def test_tmi_curve(self, large):
         model, ensemble, grid = large
+        spec = TmiSpec(a=(0,), b=(2,), c=(3, 4))
+        peak = self._peak_bytes(tmi_curve, ensemble, spec, model, grid)
+        assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
+
+    @pytest.fixture(scope="class")
+    def large_free(self):
+        # Two parity sectors: every state is packed as its two blocks.
+        rng = np.random.default_rng(46)
+        h_x, h_z = FREE_FERMION
+        model = spectral_model(IsingParams(n=9, h_x=h_x, h_z=h_z))
+
+        def packed():
+            return np.concatenate([
+                pack_hermitian(random_density(rng, len(rows)) / 2)
+                for rows in rest_sectors(model)
+            ])
+
+        ensemble = StateEnsemble(
+            mean_packed=np.stack([packed(), packed()]) / 2,
+            sample_inputs=np.array([0.3]),
+            sample_packed=packed()[None],
+        )
+        return model, ensemble, DriveConfig().grid
+
+    def test_free_otoc_curve(self, large_free):
+        model, ensemble, grid = large_free
+        spec = OtocSpec.of("x0*x3", "y0*x1")
+        peak = self._peak_bytes(otoc_curve, ensemble, spec, model, grid)
+        assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
+
+    def test_free_tmi_curve(self, large_free):
+        model, ensemble, grid = large_free
         spec = TmiSpec(a=(0,), b=(2,), c=(3, 4))
         peak = self._peak_bytes(tmi_curve, ensemble, spec, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"

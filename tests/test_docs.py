@@ -1,8 +1,8 @@
 """The README's library sketch runs as written, the source keeps its
-line-length limit and its one Pauli-operator representation, the drive
-reads its symmetry off the Hamiltonian and not a regime name, and
-``qrp.experiment`` keeps every name the benchmark's tracer wraps (checked
-with the standard library; no linter needed)."""
+line-length limit and its one Pauli-operator representation, the drive and
+the diagnostics read the symmetry off the Hamiltonian and not a regime
+name, and ``qrp.experiment`` keeps every name the benchmark's tracer wraps
+(checked with the standard library; no linter needed)."""
 
 import ast
 import re
@@ -56,7 +56,7 @@ def test_source_lines_fit():
 
 def test_one_pauli_representation():
     # Chain operators are row gathers over -1 eigenspaces
-    # (``hamiltonian.eigenbasis_operator``); the Kronecker builder is a test
+    # (``driver._eigenbasis_blocks``); the Kronecker builder is a test
     # oracle in ``tests/helpers.py``, and no second realization comes back.
     banned = ("np.kron", "build_dense", "_z_diagonal")
     found = [
@@ -72,20 +72,23 @@ def test_one_pauli_representation():
 
 
 def test_symmetry_is_not_keyed_on_a_regime():
-    # The parity sectors are read off the built Hamiltonian.  The drive and
-    # the Hamiltonian module use no parameter point, regime or preset name
-    # (their definitions aside), so no code path depends on one.
+    # The parity sectors are read off the built Hamiltonian.  The drive, the
+    # Hamiltonian module and the diagnostics use no parameter point, regime
+    # or preset name (their definitions aside), so no code path depends on
+    # one.  The diagnostics read the drive's sector blocks as they are: they
+    # never scatter them into dense matrices (``states.unpack_sectors``).
     names = {"FREE_FERMION", "CHAOTIC", "PERTURBED", "SYSTEM_FIELDS", "PRESETS"}
     words = set(qrp.experiment.SYSTEM_FIELDS) | set(qrp.experiment.PRESET_NAMES)
     found = []
-    for name in ("driver.py", "hamiltonian.py"):
+    for name in ("driver.py", "hamiltonian.py", "diagnostics.py"):
+        banned = names | {"unpack_sectors"} if name == "diagnostics.py" else names
         tree = ast.parse((ROOT / "src" / "qrp" / name).read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             used = (
                 (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                 and node.id in names)
-                or (isinstance(node, ast.Attribute) and node.attr in names)
-                or (isinstance(node, ast.alias) and node.name in names)
+                 and node.id in banned)
+                or (isinstance(node, ast.Attribute) and node.attr in banned)
+                or (isinstance(node, ast.alias) and node.name in banned)
                 or (isinstance(node, ast.Constant) and node.value in words)
             )
             if used:

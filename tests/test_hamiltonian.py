@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -164,6 +166,28 @@ class TestParitySectors:
         assert [list(r) for r, _ in split.sectors] == [[0, 3, 5, 6], [1, 2, 4, 7]]
         ham[0, 1] = ham[1, 0] = 1e-300
         assert len(diagonalize(ham, params_for(3, FREE_FERMION)).sectors) == 1
+
+    def test_one_sector_diagonalizes_h_itself(self):
+        # With one sector, eigh runs on H and its eigenvectors are kept: no
+        # sector copy of H and no scatter into a fresh matrix.  At N = 8 the
+        # traced peak is H, eigh's vectors and their phase-fixed copy (about
+        # 3.1 matrices of 2^8 x 2^8 complex); a copy and a scatter made it 4.
+        params = params_for(8, CHAOTIC)
+        spectral_model(params)
+        tracemalloc.start()
+        try:
+            model = spectral_model(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix = params.dim**2 * 16
+        assert peak < 3.5 * matrix, f"{peak / matrix:.2f} matrices"
+        ham = build_hamiltonian(params)
+        energies, vectors = np.linalg.eigh(ham)
+        assert np.array_equal(model.eigenvalues, energies)
+        phases = np.array([v[np.argmax(np.abs(v) > 1e-12)] for v in vectors.T])
+        assert np.array_equal(model.eigenvectors, vectors * (np.abs(phases) / phases))
+        assert [list(c) for _, c in model.sectors] == [list(range(params.dim))]
 
 
 def ground(n, fields):
