@@ -10,12 +10,11 @@ of them, and OTOCs use them in the Hamiltonian eigenbasis, where every grid
 time is a diagonal phase.  Entropies are not linear, so the
 mutual-information curve averages per-snapshot values.
 
-OTOCs and TMI read the sector blocks that the drive stores
-(``driver.rest_sectors``) and work per sector of the Hamiltonian
-(``SpectralModel.sectors``), like the drive: nothing is scattered into a
-dense 2**N matrix, and where H conserves the chain parity every product runs
-on blocks of half the size.  With one sector the blocks are the dense
-matrices.
+Correlations, OTOCs and TMI read the sector blocks that the drive stores
+and work per sector of the Hamiltonian (``SpectralModel.layout``), like the
+drive: nothing is scattered into a dense 2**N matrix, and where H conserves
+the chain parity every product runs on blocks of half the size.  With one
+sector the blocks are the dense matrices.
 
 OTOC and TMI intermediates that grow with the number of grid times are built
 one chunk of times at a time, each chunk sized to stay within ``CHUNK_BYTES``
@@ -33,13 +32,13 @@ import numpy as np
 from .driver import (
     StateEnsemble,
     _eigenbasis_blocks,
+    _eigenbasis_states,
     _Readout,
-    rest_sectors,
     split_qubit0,
 )
-from .hamiltonian import SpectralModel, sector_bases
+from .hamiltonian import SpectralModel
 from .pauli import PauliString, as_pauli_string
-from .states import partial_trace, spectrum_entropy, unpack_hermitian
+from .states import partial_trace, spectrum_entropy
 
 CHUNK_BYTES = 8 * 2**20
 _COMPLEX_BYTES = 16
@@ -117,14 +116,6 @@ def correlation_curve(
     return readout(ensemble.mean_packed, np.array([1.0, 0.0]))[0].sum(axis=0)
 
 
-def _sector_blocks(packed: np.ndarray, model: SpectralModel) -> list[np.ndarray]:
-    """The Hermitian blocks of sector-packed rows, one array per rest sector
-    (``rest_sectors``); leading axes of ``packed`` are a stack."""
-    sizes = [len(rows) ** 2 for rows in rest_sectors(model)]
-    bounds = np.cumsum([0] + sizes)
-    return [unpack_hermitian(packed[..., a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 def otoc_curve(
     ensemble: StateEnsemble,
     spec: OtocSpec,
@@ -153,37 +144,30 @@ def otoc_curve(
     w0, w_chain = split_qubit0(spec.w, n)
     v0, v_chain = split_qubit0(spec.v, n)
     sign = -1.0 if "i" not in (w0, v0) and w0 != v0 else 1.0
-    # The chain mean state in each sector's eigenbasis, V^dag sigma V: sigma
-    # is block-diagonal on qubit 1, and the rows of chain sector q where
-    # qubit 1 is 0 (the first n_q) meet rest sector q of the first mean
-    # block, those where it is 1 rest sector q + 1 of the second.
-    bases = sector_bases(model)
-    q_count = len(bases)
-    sigmas = _sector_blocks(ensemble.mean_packed, model)
-    states = []
-    for q, (vecs, _) in enumerate(bases):
-        low = len(sigmas[q][0])
-        vecs_0, vecs_1 = vecs[:low], vecs[low:]
-        state = vecs_0.conj().T @ (sigmas[q][0] @ vecs_0)
-        state += vecs_1.conj().T @ (sigmas[(q + 1) % q_count][1] @ vecs_1)
-        states.append(state)
+    # The chain mean state in each sector's eigenbasis, V^dag sigma V: the
+    # i-axis weighted state of the mean rows (s = 1, s = 0).
+    layout = model.layout
+    rows = zip((1.0, 0.0), map(layout.unpack, ensemble.mean_packed))
+    first, second = (w["i"] for w in _eigenbasis_states(layout, rows, "i"))
+    states = [a + b for a, b in zip(first, second)]
+    del first, second  # only the sum is held through the grid
     w_shift, w_eig = _eigenbasis_blocks(model, w_chain)
     v_shift, v_eig = _eigenbasis_blocks(model, v_chain)
     shift = w_shift + v_shift
     taus = np.asarray(taus, dtype=float)
     values = np.zeros(len(taus), dtype=complex)
-    sizes = [len(energies) for _, energies in bases]
-    for chunk in _tau_chunks(len(taus), 3 * sum(d * d for d in sizes) * _COMPLEX_BYTES):
-        phases = [np.exp(1j * np.outer(taus[chunk], e)) for _, e in bases]
+    per_tau = 3 * sum(len(e) ** 2 for e in layout.energies) * _COMPLEX_BYTES
+    for chunk in _tau_chunks(len(taus), per_tau):
+        phases = [np.exp(1j * np.outer(taus[chunk], e)) for e in layout.energies]
         wv = []  # wv[q]: the block of W(tau) V from sector q to q + shift
-        for q in range(q_count):
-            p = (q + v_shift) % q_count
-            w_tau = phases[(p + w_shift) % q_count][:, :, None] * w_eig[p]
+        for q in range(layout.count):
+            p = layout.step(q, v_shift)
+            w_tau = phases[layout.step(p, w_shift)][:, :, None] * w_eig[p]
             w_tau *= phases[p].conj()[:, None, :]
             wv.append(w_tau @ v_eig[q])
         terms = []
-        for q in range(q_count):
-            back = (q + shift) % q_count
+        for q in range(layout.count):
+            back = layout.step(q, shift)
             terms.append(np.einsum("tij,tji->t", states[back] @ wv[q], wv[back]))
         values[chunk] = sign * sum(terms[1:], terms[0])
     return values
@@ -223,21 +207,17 @@ def _kept_layout(model: SpectralModel, kept: list[int]) -> tuple[list, list]:
     kept states of sector p + e.  Returns, per sector, that order as local
     row indices, and, per sector, its kept states in ascending order.
     """
-    n, q = model.n, len(model.sectors)
+    n, layout = model.n, model.layout
     others = [i for i in range(n) if i not in kept]
     # Basis states sorted by (k, o), then stably by e.
     order = np.arange(model.dim).reshape((2,) * n).transpose(kept + others).ravel()
     others_mask = sum(1 << (n - 1 - i) for i in others)
-    sector_of_o = np.bitwise_count(order & others_mask) % q
-    ordered = order[np.argsort(sector_of_o, kind="stable")]
-    orders = []
-    for rows, _ in model.sectors:
-        local = np.full(model.dim, -1)
-        local[rows] = np.arange(len(rows))
-        mine = local[ordered]
-        orders.append(mine[mine >= 0])
-    sector_of_k = np.bitwise_count(np.arange(2 ** len(kept))) % q
-    return orders, [np.flatnonzero(sector_of_k == p) for p in range(q)]
+    ordered = order[np.argsort(layout.sector_of(order & others_mask), kind="stable")]
+    sector = layout.sector_of(ordered)
+    sector_of_k = layout.sector_of(np.arange(2 ** len(kept)))
+    sectors = range(layout.count)
+    orders = [layout.local[ordered[sector == p]] for p in sectors]
+    return orders, [np.flatnonzero(sector_of_k == p) for p in sectors]
 
 
 def tmi_curve(
@@ -274,17 +254,15 @@ def tmi_curve(
     with_ref = union[0] == 0
     kept = [q - 1 for q in union if q >= 1]
     kept_dim = 2 ** len(kept)
-    bases = sector_bases(model)
-    q_count = len(bases)
+    layout = model.layout
     orders, kept_states = _kept_layout(model, kept)
-    # Per chain sector p: the eigenvectors with rows in ``orders[p]``, and the
-    # column halves of V^dag where qubit 1 is 0 (rest sector p) and 1 (rest
-    # sector p + 1).
-    halves = [len(rows) for rows in rest_sectors(model)]
-    vecs_rows = [vecs[order] for (vecs, _), order in zip(bases, orders)]
-    vecs_h = [vecs.conj().T for vecs, _ in bases]
-    k_size = kept_dim // q_count
-    n_e = q_count if len(kept) < n else 1
+    # Per chain sector p: the eigenvectors with rows in ``orders[p]``, and
+    # V^dag, whose column halves are where qubit 1 is 0 (rest sector p) and
+    # 1 (rest sector p + 1).
+    vecs_rows = [vecs[order] for vecs, order in zip(layout.vectors, orders)]
+    vecs_h = [vecs.conj().T for vecs in layout.vectors]
+    k_size = kept_dim // layout.count
+    n_e = layout.count if len(kept) < n else 1
     joint_dim = 2 * kept_dim if with_ref else kept_dim
     # rows_of[a][p]: the joint's rows of qubit-0 block a (with the
     # reference) and of the kept states of sector p
@@ -297,7 +275,7 @@ def tmi_curve(
     # reference; (0, 1) is the conjugate transpose of (1, 0).
     pairs = [(0, (0, 1) if with_ref else (0,)), (1, (1,))]
     samples = ensemble.sample_inputs
-    rest_blocks = _sector_blocks(ensemble.sample_packed, model)
+    rest_blocks = layout.unpack(ensemble.sample_packed)
     taus = np.asarray(taus, dtype=float)
     totals = np.zeros(len(taus))
     # Per grid time: the scaled eigenvectors, both halves of L and one
@@ -309,14 +287,14 @@ def tmi_curve(
         count = chunk.stop - chunk.start
         # blocks[p][a]: L_a on the rest sector r with r + a = p
         blocks = []
-        for (_, energies), rows, vh, low in zip(bases, vecs_rows, vecs_h, halves):
-            phases = np.exp(-1j * np.outer(taus[chunk], energies))
+        for p, (rows, vh) in enumerate(zip(vecs_rows, vecs_h)):
+            phases = np.exp(-1j * np.outer(taus[chunk], layout.energies[p]))
             scaled = (rows[None, :, :] * phases[:, None, :]).reshape(-1, len(rows))
-            blocks.append((scaled @ vh[:, :low], scaled @ vh[:, low:]))
+            blocks.append(tuple(scaled @ vh[:, half] for half in layout.halves(p)))
             del scaled
         # ls[r]: L_0 and L_1 on rest sector r; shaped[r]: their rows split
         # by the sector e of the other qubits and by the kept states
-        ls = [(blocks[r][0], blocks[(r + 1) % q_count][1]) for r in range(q_count)]
+        ls = [(blocks[r][0], blocks[layout.step(r)][1]) for r in range(layout.count)]
         shaped = [[blk.reshape(count, n_e, k_size, -1) for blk in pair] for pair in ls]
         per_sample = 3 * count * joint_dim**2 * _COMPLEX_BYTES
         group = max(1, CHUNK_BYTES // (4 * per_sample))
@@ -337,8 +315,8 @@ def tmi_curve(
                         for a in heads:
                             part = weight[a, b] * (shaped[r][a] @ moved_t)
                             for e in range(n_e):
-                                top = rows_of[a][(r + a + e) % q_count]
-                                left = rows_of[b][(r + b + e) % q_count]
+                                top = rows_of[a][layout.step(r, a + e)]
+                                left = rows_of[b][layout.step(r, b + e)]
                                 joint[:, top[:, None], left] += part[:, e]
                 if with_ref:
                     lower = joint[:, kept_dim:, :kept_dim]

@@ -13,8 +13,8 @@ four h x h blocks of the interval propagator on qubit 1, one interval is
     rest' = s (K00 rest K00^dag + K10 rest K10^dag)
             + (1 - s) (K01 rest K01^dag + K11 rest K11^dag).
 
-``rest`` is carried as its blocks on the sectors of qubits 2..N
-(``rest_sectors``), which follow the Hamiltonian's (``SpectralModel.sectors``).
+``rest`` is carried as its blocks on the rest sectors of qubits 2..N, which
+follow the Hamiltonian's (``SpectralModel.layout``, a ``SectorLayout``).
 Where H conserves the chain parity there are two, the parity classes of
 qubits 2..N: K00 and K11 keep that parity and K01 and K10 flip it, so the
 Kraus blocks map each sector to one sector and ``rest`` stays block-diagonal.
@@ -27,6 +27,8 @@ at most ``CHUNK_BYTES``.  ``_Readout`` evaluates a chunk in whichever of two
 orders its operation counts favour: against packed Heisenberg blocks of the
 operators, one real GEMM per grid time, or interval by interval in the
 Hamiltonian eigenbasis, where evolution to a grid time is a diagonal phase.
+Both work per sector: no path here builds a 2**N x 2**N matrix from the
+blocks.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SpectralModel, sector_bases, sector_propagators
+from .hamiltonian import SectorLayout, SpectralModel
 from .pauli import PauliString, as_pauli_string, minus_eigenspace, minus_rows
-from .states import pack_hermitian, unpack_sectors
+from .states import pack_hermitian
 
 # Stored rests per read-out chunk, in bytes.  A chunk rebuilds the Heisenberg
 # blocks, so at this size the recorded intervals of a short drive at N = 8
@@ -137,11 +139,11 @@ class ReadoutRecord:
 class StateEnsemble:
     """Mean test state on the chain plus capped per-step snapshots.
 
-    Both are sector-packed like every stored rest (``rest_sectors`` of the
-    model).  ``mean_packed`` holds the test means of s_k rest_k and
-    (1 - s_k) rest_k: the qubit-1 blocks of the mean chain state (the
-    off-diagonal ones vanish), and all that correlators (read-out rows s = 1
-    and s = 0) and OTOCs need.  Snapshots are the rests of the first testing
+    Both are sector-packed like every stored rest (``SectorLayout.pack``).
+    ``mean_packed`` holds the test means of s_k rest_k and (1 - s_k) rest_k:
+    the qubit-1 blocks of the mean chain state (the off-diagonal ones
+    vanish), and all that correlators (read-out rows s = 1 and s = 0) and
+    OTOCs need.  Snapshots are the rests of the first testing
     intervals, at virtual time zero, next to their inputs, from which
     entropy diagnostics rebuild any reduced state exactly.  The health
     figures are the running state's largest trace drift and Hermiticity
@@ -171,21 +173,6 @@ def split_qubit0(p: PauliString, n_chain: int) -> tuple[str, PauliString]:
     return axis0, chain
 
 
-def rest_sectors(model: SpectralModel) -> list[np.ndarray]:
-    """Index sets, on qubits 2..N, of the blocks the running state is carried
-    in: sector q holds the basis states of chain sector q whose qubit 1 is 0.
-    The states of chain sector q whose qubit 1 is 1 are those of rest sector
-    q + 1 (modulo the number of sectors)."""
-    h = model.dim // 2
-    return [rows[rows < h] for rows, _ in model.sectors]
-
-
-def _parity_shift(chain: PauliString, n_sectors: int) -> int:
-    """How many sectors a chain string moves a state by: each x or y factor
-    flips the chain parity, and with one sector nothing moves."""
-    return sum(axis in "xy" for _, axis in chain.terms) % n_sectors
-
-
 def _sector_spaces(chain: PauliString, model: SpectralModel) -> list:
     """``minus_eigenspace`` rows of a chain string, per chain sector, in the
     sector's own basis, so that ``minus_rows(u_q, spaces[q], ...)`` gives the
@@ -196,18 +183,13 @@ def _sector_spaces(chain: PauliString, model: SpectralModel) -> list:
     every sector sees every vector, as one row scaled by its coefficient;
     the rows of all sectors stay aligned.
     """
+    layout = model.layout
     rows, partners, phases = minus_eigenspace(chain, model.n)
-    chain_rows = [members for members, _ in model.sectors]
-    shift = _parity_shift(chain, len(chain_rows))
-    dim = model.dim
-    local, sector = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
-    for q, members in enumerate(chain_rows):
-        local[members] = np.arange(len(members))
-        sector[members] = q
+    local, sector = layout.local, layout.sector_of(rows)
     spaces = []
-    for q in range(len(chain_rows)):
-        mine = sector[rows] == q
-        if shift:
+    for q in range(layout.count):
+        mine = sector == q
+        if layout.shift(chain):
             coef = np.where(mine, 1.0, -phases) * np.sqrt(0.5)
             spaces.append((np.where(mine, local[rows], local[partners]), None, coef))
         elif partners is None:
@@ -221,29 +203,67 @@ def _eigenbasis_blocks(
     model: SpectralModel, chain: PauliString
 ) -> tuple[int, list[np.ndarray]]:
     """V^dag O V for a chain Pauli string O, V the eigenvectors, as the
-    shift of O (``_parity_shift``) and, per sector q, its block from sector
-    q to sector q + shift in the sectors' own eigenbases (``sector_bases``).
+    shift of O (``SectorLayout.shift``) and, per sector q, its block from
+    sector q to sector q + shift in the sectors' own eigenbases.
 
     With B a basis of the -1 eigenspace of O (``pauli.minus_eigenspace``),
     O = I - 2 B B^dag, so the block is delta I - 2 D_(q+shift)^dag D_q with
     D_q = B^dag V_q, the row gather of half the size that sector q feeds
     (``_sector_spaces``).  Every block is Hermitian where the shift is 0.
     """
-    bases = sector_bases(model)
-    shift = _parity_shift(chain, len(bases))
+    layout = model.layout
+    shift = layout.shift(chain)
     spaces = _sector_spaces(chain, model)
     d = [
         minus_rows(vecs, space, np.empty((2, len(space[0]), len(vecs)), complex))
-        for (vecs, _), space in zip(bases, spaces)
+        for vecs, space in zip(layout.vectors, spaces)
     ]
     blocks = []
     for q, d_q in enumerate(d):
-        op = d[(q + shift) % len(d)].conj().T @ d_q
+        op = d[layout.step(q, shift)].conj().T @ d_q
         op *= -2.0
         if not shift:
             op.flat[:: len(op) + 1] += 1.0
         blocks.append(op)
     return shift, blocks
+
+
+def _eigenbasis_states(layout: SectorLayout, rows, axes):
+    """Per row (s, rest blocks), the weighted states W_a(s, rest) of
+    ``_Readout`` for the qubit-0 axes a in ``axes``, in the eigenbasis: per
+    chain sector c, the block from c to c + 1 for x and y, and that of c for
+    i and z.  They are built from P00_c = V_c0^dag rest_c V_c0, P11_c =
+    V_c1^dag rest_(c+1) V_c1 and P01_c = V_(c+1)0^dag rest_(c+1) V_c1, with
+    V_c0 and V_c1 the rows of chain sector c where qubit 1 is 0 and 1.  Only
+    the halves of nonzero weight are rotated: a test-mean row has s = 1 or 0.
+    """
+    halves = []  # per chain sector: V_c0, V_c0^dag, V_c1, V_c1^dag
+    for c, vecs in enumerate(layout.vectors):
+        low, high = layout.halves(c)
+        halves.append((vecs[low], vecs[low].conj().T, vecs[high], vecs[high].conj().T))
+    zeros = [0.0] * layout.count
+    for s, rest in rows:
+        moved = None  # rest_(c+1) V_c1 per chain sector c
+        if s < 1.0:
+            moved = [rest[layout.step(c)] @ v[2] for c, v in enumerate(halves)]
+        weighted = dict(x=zeros, y=zeros)
+        if set(axes) & {"i", "z"}:
+            p00 = p11 = zeros
+            if s > 0.0:
+                p00 = [s * (v[1] @ (r @ v[0])) for r, v in zip(rest, halves)]
+            if s < 1.0:
+                p11 = [(1.0 - s) * (v[3] @ m) for v, m in zip(halves, moved)]
+            if "i" in axes:
+                weighted["i"] = [a + b for a, b in zip(p00, p11)]
+            if "z" in axes:
+                weighted["z"] = [a - b for a, b in zip(p00, p11)]
+        if set(axes) & {"x", "y"} and 0.0 < s < 1.0:
+            c_s = np.sqrt(s * (1.0 - s))
+            p01 = [c_s * (halves[layout.step(c)][1] @ m) for c, m in enumerate(moved)]
+            back = [p01[layout.step(c)].conj().T for c in range(layout.count)]
+            weighted["x"] = [a + b for a, b in zip(p01, back)]
+            weighted["y"] = [1j * (a - b) for a, b in zip(p01, back)]
+        yield weighted
 
 
 def _heisenberg_is_cheaper(
@@ -256,19 +276,19 @@ def _heisenberg_is_cheaper(
     Heisenberg: U(tau) per sector and grid time (d**3 complex), products of
     (d / 2)**3 per block, sector and grid time, then the packed length
     (the sum of (d / 2)**2) per block, grid time and row.  Eigenbasis: per
-    row, the weighted states in the eigenbasis (dim**3 / 4 plus dim**3 for
-    axes i/z and dim**3 / 2 for x/y), then dim**2 complex per operator and
-    grid time, with dim the sum of ``sizes``.
+    row and sector, the weighted states in the eigenbasis (d**3 / 4 plus
+    d**3 for axes i/z and d**3 / 2 for x/y), then d**2 complex per
+    operator, sector and grid time.
     """
-    dim = sum(sizes)
     cubes = sum(d**3 for d in sizes)
+    squares = sum(d**2 for d in sizes)
     n_blocks = sum(2 if axis in "iz" else 1 for axis in axes)
     heisenberg = 4 * n_grid * cubes * (1 + n_blocks / 8)
-    heisenberg += rows * n_grid * n_blocks * sum(d**2 for d in sizes) / 4
-    state = dim**3 / 4
-    state += dim**3 if {"i", "z"} & set(axes) else 0
-    state += dim**3 / 2 if {"x", "y"} & set(axes) else 0
-    eigenbasis = 4 * rows * (state + len(axes) * n_grid * dim**2)
+    heisenberg += rows * n_grid * n_blocks * squares / 4
+    state = cubes / 4
+    state += cubes if {"i", "z"} & set(axes) else 0
+    state += cubes / 2 if {"x", "y"} & set(axes) else 0
+    eigenbasis = 4 * rows * (state + len(axes) * n_grid * squares)
     return heisenberg < eigenbasis
 
 
@@ -284,10 +304,10 @@ class _Readout:
         a = x:  c Tr[rest (X01 + X01^dag)]
         a = y:  c Tr[rest i (X01^dag - X01)],     c = sqrt(s (1 - s)).
 
-    ``rest`` is block-diagonal on ``rest_sectors``, so only the
-    sector-diagonal parts of the X blocks count.  With two sectors, X00 and
-    X11 of a parity-odd O and X01 of a parity-even one have none: those
-    read-outs are exactly 0 and are not evaluated.
+    ``rest`` is block-diagonal on the rest sectors (``SectorLayout``), so
+    only the sector-diagonal parts of the X blocks count.  With two sectors,
+    X00 and X11 of a parity-odd O and X01 of a parity-even one have none:
+    those read-outs are exactly 0 and are not evaluated.
 
     The Heisenberg order writes O = I - 2 B B^dag with B a basis of the -1
     eigenspace of O (``pauli.minus_eigenspace``) and D = B^dag U(tau), an
@@ -296,7 +316,9 @@ class _Readout:
     Tr[rest], and only the products G_ab = D_a^dag D_b are packed.  U(tau)
     is built per chain sector, and so is D (``_sector_spaces``): the columns
     of chain sector q where qubit 1 is 0 meet rest sector q, and those where
-    it is 1 rest sector q + 1.
+    it is 1 rest sector q + 1.  The eigenbasis order traces each row's
+    weighted states (``_eigenbasis_states``) against the operators' blocks
+    (``_eigenbasis_blocks``), sector by sector.
     """
 
     def __init__(
@@ -304,35 +326,32 @@ class _Readout:
     ):
         self.model = model
         self.grid = grid
-        self.sectors = rest_sectors(model)
-        n_sectors = len(self.sectors)
+        layout = model.layout
         # X00 and X11 keep the sector, X01 moves it by one; the operators
         # evaluated are those that a block-diagonal rest can see.
         self.n_operators = len(split)
         self.kept = [
             o
             for o, (axis0, chain) in enumerate(split)
-            if (_parity_shift(chain, n_sectors) + (axis0 in "xy")) % n_sectors == 0
+            if layout.step(layout.shift(chain), axis0 in "xy") == 0
         ]
         self.axes = [split[o][0] for o in self.kept]
         self.chains = [split[o][1] for o in self.kept]
         self.spaces = [_sector_spaces(chain, model) for chain in self.chains]
-        self.ops_eig_t: list[np.ndarray] | None = None
+        self.ops_eig_t: list[tuple[int, list[np.ndarray]]] | None = None
         # Column j of the per-row weights goes with block j; ``starts`` marks
         # the first block of each operator.
         self.kinds = []
         for axis0 in self.axes:
             self.kinds += [axis0 + "0", axis0 + "1"] if axis0 in "iz" else [axis0]
         self.starts = np.cumsum([0] + [2 if a in "iz" else 1 for a in self.axes])[:-1]
-        # Where each sector's numbers sit in a packed row, where its diagonal
-        # does, and the factor that makes a dot product a trace.
-        offsets = np.cumsum([0] + [len(rows) ** 2 for rows in self.sectors])
-        self.segments = [slice(a, b) for a, b in zip(offsets[:-1], offsets[1:])]
+        # Where each sector's diagonal sits in a packed row, and the factor
+        # that makes a dot product a trace.
         self.diagonals = [
-            slice(start, start + len(rows))
-            for start, rows in zip(offsets, self.sectors)
+            slice(segment.start, segment.start + len(rows))
+            for segment, rows in zip(layout.segments, layout.rests)
         ]
-        self.scale = np.full(offsets[-1], 2.0)
+        self.scale = np.full(layout.offsets[-1], 2.0)
         for diagonal in self.diagonals:
             self.scale[diagonal] = 1.0
 
@@ -341,7 +360,7 @@ class _Readout:
         out = np.zeros((self.n_operators, len(s), len(self.grid)))
         if not self.axes:
             return out
-        sizes = [len(rows) for rows, _ in self.model.sectors]
+        sizes = [len(rows) for rows in self.model.layout.rows]
         if _heisenberg_is_cheaper(len(s), sizes, self.axes, len(self.grid)):
             self._heisenberg(packed, s, out)
         else:
@@ -357,23 +376,22 @@ class _Readout:
         return np.stack([columns[kind] for kind in self.kinds], axis=1)
 
     def _heisenberg(self, packed: np.ndarray, s: np.ndarray, out: np.ndarray):
-        bases = sector_bases(self.model)
-        n = [len(rows) for rows in self.sectors]
-        q = len(n)
+        layout = self.model.layout
         weights = self._block_weights(s)
         # Tr[rest] times the identity parts: s + (1 - s) for axis i,
         # s - (1 - s) for z, none for x and y.
         traces = sum(packed[:, diagonal].sum(axis=1) for diagonal in self.diagonals)
         parts = {"i": traces, "z": (2.0 * s - 1.0) * traces, "x": 0.0 * s, "y": 0.0 * s}
         identity = np.stack([parts[axis0] for axis0 in self.axes], axis=1)
+        n = [len(rows) for rows in layout.rests]
         blocks = [np.empty((len(self.kinds), m, m), dtype=complex) for m in n]
         heis = np.empty((len(self.kinds), len(self.scale)))
         minus = [
             np.empty((2, max(len(sp[c][0]) for sp in self.spaces), len(vecs)), complex)
-            for c, (vecs, _) in enumerate(bases)
+            for c, vecs in enumerate(layout.vectors)
         ]
         for m, tau in enumerate(self.grid):
-            us = sector_propagators(bases, tau)
+            us = layout.propagators(tau)
             j = 0
             for axis0, spaces in zip(self.axes, self.spaces):
                 d, d_bar = [], []
@@ -382,73 +400,54 @@ class _Readout:
                     # conj(D) goes where the partner rows were
                     d_bar.append(np.conjugate(d[-1], out=buf[1, : len(d[-1])]))
                 if axis0 in "iz":
-                    for c in range(q):
-                        low, high = slice(None, n[c]), slice(n[c], None)
-                        up = blocks[(c + 1) % q][j + 1]
+                    for c in range(layout.count):
+                        low, high = layout.halves(c)
+                        up = blocks[layout.step(c)][j + 1]
                         np.matmul(d_bar[c][:, low].T, d[c][:, low], out=blocks[c][j])
                         np.matmul(d_bar[c][:, high].T, d[c][:, high], out=up)
                     j += 2
                     continue
-                for a in range(q):
-                    b = (a + 1) % q
-                    g01 = np.matmul(
-                        d_bar[a][:, : n[a]].T, d[b][:, n[b] :], out=blocks[a][j]
-                    )
+                for a in range(layout.count):
+                    b = layout.step(a)
+                    low, high = layout.halves(a)[0], layout.halves(b)[1]
+                    g01 = np.matmul(d_bar[a][:, low].T, d[b][:, high], out=blocks[a][j])
                     if axis0 == "x":
                         g01 += g01.conj().T
                     else:
                         np.subtract(g01.conj().T, g01, out=g01)
                         g01 *= 1j
                 j += 1
-            for sector_blocks, segment in zip(blocks, self.segments):
+            for sector_blocks, segment in zip(blocks, layout.segments):
                 pack_hermitian(sector_blocks, out=heis[:, segment])
             heis *= self.scale
             values = np.add.reduceat((packed @ heis.T) * weights, self.starts, axis=1)
             out[self.kept, :, m] = (values + identity).T
 
     def _eigenbasis(self, packed: np.ndarray, s: np.ndarray, out: np.ndarray):
-        model = self.model
-        h = model.dim // 2
-        vecs = model.eigenvectors
-        v0, v1 = vecs[:h], vecs[h:]
-        v0_h, v1_h = v0.conj().T, v1.conj().T
+        layout = self.model.layout
         if self.ops_eig_t is None:
-            # (V^dag O V)^T, so an elementwise product implements
-            # Tr[state * op]: for Hermitian V^dag O V that is its conjugate,
-            # taken in place and so C-contiguous.  With a transposed view, a
-            # row took 59 ms instead of 45 ms at N = 9 (appA read-outs, 2 cores).
+            # Per operator, its shift and the conjugates of its blocks: for
+            # Hermitian V^dag O V the transposes of the blocks back, so an
+            # elementwise product implements Tr[state * op].  Taken in place
+            # they stay C-contiguous; with a transposed view a row took 59 ms
+            # instead of 45 ms at N = 9 (appA read-outs, 2 cores).
             self.ops_eig_t = []
             for chain in self.chains:
-                shift, blocks = _eigenbasis_blocks(model, chain)
-                op = blocks[0]  # one sector: the block is the operator
-                if len(blocks) > 1:
-                    op = np.zeros((model.dim, model.dim), dtype=complex)
-                    for q, block in enumerate(blocks):
-                        target = model.sectors[(q + shift) % len(blocks)][1]
-                        op[np.ix_(target, model.sectors[q][1])] = block
-                self.ops_eig_t.append(np.conj(op, out=op))
-        phases = np.exp(-1j * np.outer(self.grid, model.eigenvalues))  # (n_grid, dim)
-        phases_ct = phases.conj().T
-        axes = set(self.axes)
-        for row, (s_k, packed_row) in enumerate(zip(s, packed)):
-            rest = unpack_sectors(packed_row, self.sectors)
-            # Only halves of nonzero weight: a test-mean row has s = 1 or 0.
-            moved1 = rest @ v1 if s_k < 1.0 else None
-            weighted = dict(x=0.0, y=0.0)
-            if axes & {"i", "z"}:
-                p00 = s_k * (v0_h @ (rest @ v0)) if s_k > 0.0 else 0.0
-                p11 = (1.0 - s_k) * (v1_h @ moved1) if s_k < 1.0 else 0.0
-                if "i" in axes:
-                    weighted["i"] = p00 + p11
-                if "z" in axes:
-                    weighted["z"] = p00 - p11
-            if axes & {"x", "y"} and 0.0 < s_k < 1.0:
-                p01 = np.sqrt(s_k * (1.0 - s_k)) * (v0_h @ moved1)
-                weighted.update(x=p01 + p01.conj().T, y=1j * (p01 - p01.conj().T))
-            for o, (axis0, op_t) in enumerate(zip(self.axes, self.ops_eig_t)):
-                # value[m] = sum_ab W[a,b] op[b,a] e^{-i(E_a - E_b) tau_m}
-                tmp = (weighted[axis0] * op_t) @ phases_ct  # (dim, n_grid)
-                out[self.kept[o], row] = np.einsum("ma,am->m", phases, tmp).real
+                shift, blocks = _eigenbasis_blocks(self.model, chain)
+                self.ops_eig_t.append((shift, [np.conj(op, out=op) for op in blocks]))
+        phases = [np.exp(-1j * np.outer(self.grid, e)) for e in layout.energies]
+        phases_ct = [p.conj().T for p in phases]
+        rows = zip(s, map(layout.unpack, packed))
+        for row, weighted in enumerate(_eigenbasis_states(layout, rows, self.axes)):
+            for o, (axis0, (shift, ops_t)) in enumerate(zip(self.axes, self.ops_eig_t)):
+                # value[m] = sum_ab W[a,b] op[b,a] e^{-i(E_a - E_b) tau_m}, per
+                # sector c of b (a is in sector c + shift)
+                terms = []
+                for c, (state, op_t) in enumerate(zip(weighted[axis0], ops_t)):
+                    tmp = (state * op_t) @ phases_ct[c]  # (d of a, n_grid)
+                    rows_phases = phases[layout.step(c, shift)]
+                    terms.append(np.einsum("ma,am->m", rows_phases, tmp))
+                out[self.kept[o], row] = sum(terms[1:], terms[0]).real
 
 
 def _state_health(
@@ -517,41 +516,42 @@ def run_drive(
     readout = _Readout(model, [split_qubit0(p, model.n) for p in parsed], config.grid)
 
     # Rest sector a has n[a] states; chain sector a holds it with qubit 1 = 0
-    # and sector a + 1 with qubit 1 = 1 (modulo q), so the first n[a] rows
-    # and columns of the chain-sector block u[a] are those where qubit 1 is 0.
-    sectors = rest_sectors(model)
-    n = [len(rows) for rows in sectors]
-    q = len(n)
-    u_in = sector_propagators(sector_bases(model), config.t_in)
+    # and sector a + 1 with qubit 1 = 1 (``SectorLayout``), so the first n[a]
+    # rows and columns of the chain-sector block u[a] are those where qubit 1
+    # is 0.
+    layout = model.layout
+    n = [len(rows) for rows in layout.rests]
+    u_in = layout.propagators(config.t_in)
     weighted_s = [len(u) for u in u_in]
     # Per source sector a, the rows K00, K10 (qubit 1 was |0>, weight s:
     # the first ``weighted_s[a]``), then K01, K11 (weight 1 - s), landing in
     # sectors a, a+1, a+1, a.
-    kraus = [
-        np.concatenate([u_in[a][:, : n[a]], u_in[(a + 1) % q][:, n[(a + 1) % q] :]])
-        for a in range(q)
-    ]
+    kraus = []
+    for a in range(layout.count):
+        b = layout.step(a)
+        low, high = layout.halves(a)[0], layout.halves(b)[1]
+        kraus.append(np.concatenate([u_in[a][:, low], u_in[b][:, high]]))
     del u_in
     # Per target sector t, the four terms K rest K^dag that land there, in
     # the order K00, K10, K01, K11: (source sector, rows of its Kraus stack).
     terms = []
-    for t in range(q):
-        p = (t - 1) % q
+    for t in range(layout.count):
+        p = layout.step(t, -1)
         terms.append([
             (t, slice(0, n[t])),
             (p, slice(n[p], n[p] + n[t])),
             (p, slice(n[p] + n[t], n[p] + 2 * n[t])),
-            (t, slice(n[t] + 2 * n[(t + 1) % q], None)),
+            (t, slice(n[t] + 2 * n[layout.step(t)], None)),
         ])
     kraus_h = [
         np.concatenate([kraus[a][rows].conj().T for a, rows in terms[t]])
-        for t in range(q)
+        for t in range(layout.count)
     ]
     g = model.eigenvectors[:, 0]
     h = model.dim // 2
     rest = [
         np.outer(g[rows], g[rows].conj()) + np.outer(g[h + rows], g[h + rows].conj())
-        for rows in sectors
+        for rows in layout.rests
     ]
     # Buffers of one step, reused: per sector the blocks K_j rest, the
     # terms landing there side by side, and the next rest.  Until the Kraus
@@ -560,18 +560,18 @@ def run_drive(
     side = [np.empty((n[t], len(kh)), dtype=complex) for t, kh in enumerate(kraus_h)]
     spare = [np.empty_like(block) for block in rest]
     scratch = moved[0].reshape(-1).view(np.float64)
-    segments = np.cumsum([0] + [m * m for m in n])
+    width = layout.offsets[-1]
 
     n_rows = config.n_train + config.n_test
     record_values = np.zeros((len(parsed), n_rows, config.n_grid))
     # Without read-outs a chunk is never read, so one row suffices.
-    chunk_rows = min(n_rows, CHUNK_BYTES // (8 * segments[-1])) if parsed else 1
-    chunk = np.empty((max(1, chunk_rows), segments[-1]))
+    chunk_rows = min(n_rows, CHUNK_BYTES // (8 * width)) if parsed else 1
+    chunk = np.empty((max(1, chunk_rows), width))
     n_cap = min(config.tmi_cap, config.n_test)
-    sample_packed = np.zeros((n_cap, segments[-1]))
+    sample_packed = np.zeros((n_cap, width))
     # Sums of s_k rest_k and (1 - s_k) rest_k over the testing intervals,
     # averaged once the drive ends.
-    mean_packed = np.zeros((2, segments[-1]))
+    mean_packed = np.zeros((2, width))
     max_drift = max_herm = 0.0
 
     for k in range(config.n_total):
@@ -582,9 +582,7 @@ def run_drive(
         row = k - config.n_washout
         if row >= 0:
             slot = row % len(chunk)
-            packed = chunk[slot]
-            for block, start, stop in zip(rest, segments[:-1], segments[1:]):
-                pack_hermitian(block, out=packed[start:stop])
+            packed = layout.pack(rest, out=chunk[slot])
             spot = row - config.n_train
             if spot >= 0:
                 mean_packed[0] += s * packed
@@ -596,11 +594,11 @@ def run_drive(
                     chunk[: slot + 1], s_values[k - slot : k + 1]
                 )
 
-        for a in range(q):
+        for a in range(layout.count):
             np.matmul(kraus[a], rest[a], out=moved[a])
             moved[a][: weighted_s[a]] *= s
             moved[a][weighted_s[a] :] *= 1.0 - s
-        for t in range(q):
+        for t in range(layout.count):
             column = 0
             for a, rows in terms[t]:
                 width = n[a]

@@ -1,4 +1,4 @@
-"""Ising-chain Hamiltonian, exact diagonalization, and chain time evolution.
+"""Ising-chain Hamiltonian, exact diagonalization, and its sector layout.
 
 The chain qubits are labeled 1..N on the full register; the dynamics ignore
 the detached reference qubit 0.  All matrices produced here live on the
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString, signed_permutation
+from .states import pack_hermitian, unpack_hermitian
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,85 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
     return h
 
 
+@dataclass(eq=False)
+class SectorLayout:
+    """The blocks H leaves invariant, read by every path that works per sector.
+
+    Chain sector q holds the basis states ``rows[q]`` (ascending): the even
+    and the odd chain-parity class when every entry of H between them is
+    exactly zero, else all states (``local`` is each state's position in its
+    sector).  ``vectors[q]`` are its eigenvectors in its own basis, with
+    ``energies[q]`` ascending: columns ``columns[q]`` of the dense ones.
+
+    The running state on qubits 2..N is block-diagonal on the rest sectors
+    ``rests``.  Rest sector r pairs with chain sectors r and r + 1: it holds
+    the states of chain sector r whose qubit 1 is 0 (its first local rows,
+    ``halves``) and those of chain sector r + 1 whose qubit 1 is 1.  A
+    sector-packed row is each rest block's ``states.pack_hermitian``
+    numbers, concatenated at ``offsets`` (``segments``).
+
+    Sector indices add modulo the count (``step``); a chain Pauli string
+    moves a state by its number of x and y factors (``shift``).
+    """
+
+    rows: list[np.ndarray]
+    columns: list[np.ndarray]
+    vectors: list[np.ndarray]
+    energies: list[np.ndarray]
+
+    def __post_init__(self):
+        dim = sum(len(rows) for rows in self.rows)
+        self.local = np.empty(dim, dtype=np.intp)
+        for rows in self.rows:
+            self.local[rows] = np.arange(len(rows))
+        self.rests = [rows[rows < dim // 2] for rows in self.rows]
+        self.offsets = np.cumsum([0] + [len(rows) ** 2 for rows in self.rests])
+        self.segments = [slice(a, b) for a, b in zip(self.offsets, self.offsets[1:])]
+        self.count = len(self.rows)
+
+    def step(self, q: int, k: int = 1) -> int:
+        """The sector k steps from sector q."""
+        return (q + k) % self.count
+
+    def shift(self, chain: PauliString) -> int:
+        """How many sectors a chain string moves a state by."""
+        return self.step(0, sum(axis in "xy" for _, axis in chain.terms))
+
+    def sector_of(self, states: np.ndarray) -> np.ndarray:
+        """Sectors of basis states of any register: parity, or 0 with one."""
+        return np.bitwise_count(states) % self.count
+
+    def halves(self, q: int) -> tuple[slice, slice]:
+        """Local rows of chain sector q where qubit 1 is 0, and where it is 1."""
+        low = len(self.rests[q])
+        return slice(None, low), slice(low, None)
+
+    def pack(self, blocks: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """The sector-packed row of rest blocks, written into ``out``."""
+        for block, segment in zip(blocks, self.segments):
+            pack_hermitian(block, out=out[segment])
+        return out
+
+    def unpack(self, packed: np.ndarray) -> list[np.ndarray]:
+        """The rest blocks of sector-packed rows; leading axes are a stack."""
+        return [unpack_hermitian(packed[..., segment]) for segment in self.segments]
+
+    def propagators(self, tau: float) -> list[np.ndarray]:
+        """exp(-i H tau) per chain sector, in the sector's own basis."""
+        pairs = zip(self.vectors, self.energies)
+        return [(vecs * np.exp(-1j * e * tau)) @ vecs.conj().T for vecs, e in pairs]
+
+
 @dataclass
 class SpectralModel:
-    """Eigendecomposition of the chain Hamiltonian.
-
-    ``sectors`` lists the blocks that H leaves invariant, each as its basis
-    states (ascending) and its eigenvector columns (ascending energy): the
-    two chain-parity classes when every entry of H between them is exactly
-    zero, else one block of everything.  ``eigenvectors`` is zero outside
-    each sector's rows and columns.
-    """
+    """Eigendecomposition of the chain Hamiltonian: energies ascending, the
+    dense eigenvectors (zero outside each sector's rows and columns), and
+    the sector layout every per-sector path reads."""
 
     params: IsingParams
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    layout: SectorLayout
     degenerate_ground: bool = False
 
     @property
@@ -116,8 +181,9 @@ def _parity_classes(hamiltonian: np.ndarray) -> list[np.ndarray]:
 def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
     """Full eigendecomposition; eigenvalues ascending, orthonormal columns.
 
-    Each parity sector (``_parity_classes``) is diagonalized on its own and
-    the eigenpairs are merged in ascending energy.
+    Each parity sector (``_parity_classes``) is diagonalized on its own,
+    kept in the model's ``layout``, and scattered into the dense
+    eigenvectors, whose eigenpairs are merged in ascending energy.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     if hamiltonian.shape != (params.dim, params.dim):
@@ -141,19 +207,16 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
     order = np.argsort(unsorted, kind="stable")
     column = np.empty_like(order)
     column[order] = np.arange(len(order))  # sorted position of each eigenpair
-    if whole:  # eigh's energies ascend, so ``order`` is the identity
-        vectors = parts[0][1]
-        sectors = [(classes[0], column)]
-    else:
+    # eigh's energies ascend, so with one sector ``order`` is the identity and
+    # the sector's phase-fixed vectors are the dense ones.
+    blocks = [_fix_phases(block) for _, block in parts]
+    columns = np.split(column, np.cumsum([len(block) for block in blocks])[:-1])
+    vectors = blocks[0]
+    if not whole:
         vectors = np.zeros((params.dim, params.dim), dtype=complex)
-        sectors, start = [], 0
-        for rows, (energies, block) in zip(classes, parts):
-            cols = column[start : start + len(energies)]
+        for rows, cols, block in zip(classes, columns, blocks):
             vectors[np.ix_(rows, cols)] = block
-            sectors.append((rows, cols))
-            start += len(energies)
-    del parts  # the blocks are in ``vectors`` now; fixing phases copies it
-    vectors = _fix_phases(vectors)
+    layout = SectorLayout(classes, columns, blocks, [energies for energies, _ in parts])
     energies = unsorted[order]
     scale = max(np.max(np.abs(energies)), 1.0)
     degenerate = bool(energies.size > 1 and energies[1] - energies[0] <= 1e-9 * scale)
@@ -161,7 +224,7 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
         params=params,
         eigenvalues=energies,
         eigenvectors=vectors,
-        sectors=tuple(sectors),
+        layout=layout,
         degenerate_ground=degenerate,
     )
 
@@ -169,31 +232,3 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
 def spectral_model(params: IsingParams) -> SpectralModel:
     """Build and diagonalize in one step."""
     return diagonalize(build_hamiltonian(params), params)
-
-
-def chain_propagator(model: SpectralModel, tau: float) -> np.ndarray:
-    """exp(-i H tau) on the chain register, via the eigendecomposition."""
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    phases = np.exp(-1j * model.eigenvalues * tau)
-    return (model.eigenvectors * phases) @ model.eigenvectors.conj().T
-
-
-def sector_bases(model: SpectralModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per sector, its eigenvectors in the sector's own basis and their
-    energies: the diagonal blocks of ``eigenvectors``, which are all of it
-    when there is one sector (returned without a copy)."""
-    if len(model.sectors) == 1:
-        return [(model.eigenvectors, model.eigenvalues)]
-    return [
-        (model.eigenvectors[np.ix_(rows, cols)], model.eigenvalues[cols])
-        for rows, cols in model.sectors
-    ]
-
-
-def sector_propagators(bases, tau: float) -> list[np.ndarray]:
-    """exp(-i H tau) per sector, for ``bases = sector_bases(model)``."""
-    return [
-        (vecs * np.exp(-1j * energies * tau)) @ vecs.conj().T
-        for vecs, energies in bases
-    ]

@@ -97,17 +97,3 @@ def unpack_hermitian(packed: np.ndarray) -> np.ndarray:
     diag = np.arange(h)
     out[..., diag, diag] = packed[..., :h]
     return out
-
-
-def unpack_sectors(packed: np.ndarray, sectors: list[np.ndarray]) -> np.ndarray:
-    """Dense matrices from sector-packed rows: each sector's ``pack_hermitian``
-    numbers, concatenated, become the block on its (ascending) indices, and
-    every entry between two sectors is zero.  Leading axes are a stack."""
-    h = sum(len(rows) for rows in sectors)
-    out = np.zeros(packed.shape[:-1] + (h, h), dtype=complex)
-    start = 0
-    for rows in sectors:
-        stop = start + len(rows) ** 2
-        out[..., rows[:, None], rows] = unpack_hermitian(packed[..., start:stop])
-        start = stop
-    return out

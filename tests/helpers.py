@@ -9,8 +9,8 @@ from functools import reduce
 import numpy as np
 import scipy.linalg
 
-from qrp.driver import StateEnsemble, rest_sectors
-from qrp.hamiltonian import SpectralModel, chain_propagator
+from qrp.driver import StateEnsemble
+from qrp.hamiltonian import SpectralModel
 from qrp.pauli import PauliString
 from qrp.states import (
     n_qubits_of,
@@ -18,7 +18,6 @@ from qrp.states import (
     partial_trace,
     spectrum_entropy,
     unpack_hermitian,
-    unpack_sectors,
 )
 
 PAULI = {
@@ -101,6 +100,12 @@ def tmi(state: np.ndarray, spec) -> float:
         sign * von_neumann_entropy(partial_trace(state, tuple(sorted(part))))
         for sign, part in signed
     )
+
+
+def chain_propagator(model: SpectralModel, tau: float) -> np.ndarray:
+    """exp(-i H tau) on the chain register, from the dense eigenvectors."""
+    phases = np.exp(-1j * model.eigenvalues * tau)
+    return (model.eigenvectors * phases) @ model.eigenvectors.conj().T
 
 
 def propagator(model: SpectralModel, tau: float) -> np.ndarray:
@@ -198,17 +203,31 @@ def register_ensemble(
     )
 
 
+def unpack_sectors(packed: np.ndarray, sectors: list[np.ndarray]) -> np.ndarray:
+    """Dense matrices from sector-packed rows: each sector's ``pack_hermitian``
+    numbers, concatenated, become the block on its (ascending) indices, and
+    every entry between two sectors is zero.  Leading axes are a stack."""
+    h = sum(len(rows) for rows in sectors)
+    out = np.zeros(packed.shape[:-1] + (h, h), dtype=complex)
+    start = 0
+    for rows in sectors:
+        stop = start + len(rows) ** 2
+        out[..., rows[:, None], rows] = unpack_hermitian(packed[..., start:stop])
+        start = stop
+    return out
+
+
 def chain_mean(ensemble: StateEnsemble, model: SpectralModel) -> np.ndarray:
     """Dense 2**N chain mean state of a drive's ensemble: its two packed
     qubit-1 blocks on the diagonal."""
     return scipy.linalg.block_diag(
-        *unpack_sectors(ensemble.mean_packed, rest_sectors(model))
+        *unpack_sectors(ensemble.mean_packed, model.layout.rests)
     )
 
 
 def snapshot_rests(ensemble: StateEnsemble, model: SpectralModel) -> np.ndarray:
     """Dense rests (qubits 2..N) of a drive's ensemble snapshots."""
-    return unpack_sectors(ensemble.sample_packed, rest_sectors(model))
+    return unpack_sectors(ensemble.sample_packed, model.layout.rests)
 
 
 def sample_state(ensemble: StateEnsemble, index: int) -> np.ndarray:

@@ -36,7 +36,6 @@ from qrp.driver import (
     DriveConfig,
     StateEnsemble,
     generate_inputs,
-    rest_sectors,
     run_drive,
 )
 from qrp.hamiltonian import CHAOTIC, FREE_FERMION, IsingParams, spectral_model
@@ -500,7 +499,7 @@ class TestMemoryBound:
         def packed():
             return np.concatenate([
                 pack_hermitian(random_density(rng, len(rows)) / 2)
-                for rows in rest_sectors(model)
+                for rows in model.layout.rests
             ])
 
         ensemble = StateEnsemble(
@@ -509,6 +508,18 @@ class TestMemoryBound:
             sample_packed=packed()[None],
         )
         return model, ensemble, DriveConfig().grid
+
+    # A correlation is a two-row read-out in the eigenbasis order.  With two
+    # sectors it rotates half-size blocks (26.8 MiB when every row and
+    # operator was scattered to dense 2^9 matrices); with one it holds the
+    # dense rotations (25.1 MiB).
+    CORRELATION_BOUND = {"free": 18 * 2**20, "chaotic": 25.1 * 2**20}
+
+    @pytest.mark.parametrize("regime", ["free", "chaotic"])
+    def test_correlation_curve(self, regime, large, large_free):
+        model, ensemble, grid = large_free if regime == "free" else large
+        peak = self._peak_bytes(correlation_curve, ensemble, 3, model, grid)
+        assert peak < self.CORRELATION_BOUND[regime], f"{peak / 2**20:.1f} MiB"
 
     def test_free_otoc_curve(self, large_free):
         model, ensemble, grid = large_free

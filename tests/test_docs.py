@@ -1,8 +1,9 @@
 """The README's library sketch runs as written, the source keeps its
-line-length limit and its one Pauli-operator representation, the drive and
-the diagnostics read the symmetry off the Hamiltonian and not a regime
-name, and ``qrp.experiment`` keeps every name the benchmark's tracer wraps
-(checked with the standard library; no linter needed)."""
+line-length limit, its one Pauli-operator representation and its one sector
+layout, the drive and the diagnostics read the symmetry off the Hamiltonian
+and not a regime name, and ``qrp.experiment`` keeps every name the
+benchmark's tracer wraps (checked with the standard library; no linter
+needed)."""
 
 import ast
 import re
@@ -71,28 +72,59 @@ def test_one_pauli_representation():
     assert not found, "\n".join(found)
 
 
+def uses(node: ast.AST, banned: set) -> bool:
+    """Whether an AST node loads, reads as an attribute, imports or defines
+    one of the ``banned`` names."""
+    return (
+        (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+         and node.id in banned)
+        or (isinstance(node, ast.Attribute) and node.attr in banned)
+        or (isinstance(node, ast.alias) and node.name in banned)
+        or (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in banned)
+    )
+
+
 def test_symmetry_is_not_keyed_on_a_regime():
     # The parity sectors are read off the built Hamiltonian.  The drive, the
     # Hamiltonian module and the diagnostics use no parameter point, regime
     # or preset name (their definitions aside), so no code path depends on
-    # one.  The diagnostics read the drive's sector blocks as they are: they
-    # never scatter them into dense matrices (``states.unpack_sectors``).
+    # one.
     names = {"FREE_FERMION", "CHAOTIC", "PERTURBED", "SYSTEM_FIELDS", "PRESETS"}
     words = set(qrp.experiment.SYSTEM_FIELDS) | set(qrp.experiment.PRESET_NAMES)
     found = []
     for name in ("driver.py", "hamiltonian.py", "diagnostics.py"):
-        banned = names | {"unpack_sectors"} if name == "diagnostics.py" else names
         tree = ast.parse((ROOT / "src" / "qrp" / name).read_text(encoding="utf-8"))
         for node in ast.walk(tree):
-            used = (
-                (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                 and node.id in banned)
-                or (isinstance(node, ast.Attribute) and node.attr in banned)
-                or (isinstance(node, ast.alias) and node.name in banned)
-                or (isinstance(node, ast.Constant) and node.value in words)
-            )
-            if used:
+            if uses(node, names) or (
+                isinstance(node, ast.Constant) and node.value in words
+            ):
                 found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, "\n".join(found)
+
+
+def test_one_sector_layout():
+    # ``SpectralModel.layout`` is the one place that knows the sector
+    # layout.  No module defines or calls a second one, or the dense
+    # oracles that scatter sector blocks (``unpack_sectors``) or build the
+    # propagator from the dense eigenvectors (``chain_propagator``); those
+    # live in ``tests/helpers.py``.  Sector indices are added modulo the
+    # count only in ``hamiltonian.py`` (``SectorLayout.step``).
+    banned = {
+        "unpack_sectors", "chain_propagator", "rest_sectors", "sector_bases",
+        "sector_propagators", "_parity_shift", "_sector_blocks",
+    }
+    found = []
+    for path in sorted((ROOT / "src" / "qrp").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            modular_sum = (
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, (ast.Add, ast.Sub))
+            )
+            if uses(node, banned) or (modular_sum and path.name != "hamiltonian.py"):
+                line = ast.unparse(node).splitlines()[0]
+                found.append(f"{path.name}:{node.lineno}: {line}")
     assert not found, "\n".join(found)
 
 

@@ -27,14 +27,13 @@ from qrp.driver import (
     DriveConfig,
     DriveError,
     generate_inputs,
-    rest_sectors,
     run_drive,
     split_qubit0,
 )
 from qrp.diagnostics import correlation_curve
 from qrp.hamiltonian import CHAOTIC, FREE_FERMION, IsingParams, spectral_model
 from qrp.pauli import PauliString, parse_operator_label
-from qrp.states import pack_hermitian, partial_trace
+from qrp.states import partial_trace
 
 ORDERS = {"heisenberg": True, "eigenbasis": False}
 
@@ -42,7 +41,7 @@ ORDERS = {"heisenberg": True, "eigenbasis": False}
 def force_order(mp, order: str, model, rows: int) -> list[str]:
     """Make ``run_drive`` read out ``rows`` stored rests per chunk, all in
     one contraction order; returns the list of orders that ran."""
-    packed = sum(len(sector) ** 2 for sector in rest_sectors(model))
+    packed = model.layout.offsets[-1]
     mp.setattr(qrp.driver, "CHUNK_BYTES", rows * 8 * packed)
     mp.setattr(qrp.driver, "_heisenberg_is_cheaper", lambda *args: ORDERS[order])
     ran = []
@@ -432,35 +431,66 @@ class TestCorrelationsAreReadouts:
             assert np.max(np.abs(got - want)) < 1e-12, label
 
 
+# Both regimes in both orders; the chaotic cases keep the bare order as id.
+REGIME_ORDERS = pytest.mark.parametrize(
+    "fields, order",
+    [(CHAOTIC, order) for order in ORDERS] + [(FREE_FERMION, order) for order in ORDERS],
+    ids=list(ORDERS) + [f"free-{order}" for order in ORDERS],
+)
+
+
 class TestReadoutEdgeRows:
     """Rows with s = 0 and s = 1, the two rows of a test mean, next to an
     interior s, against the full-register oracle in both orders.  The
     eigenbasis order rotates only the qubit-1 halves of nonzero weight, so
-    every qubit-0 axis must still see each half that its row weights."""
+    every qubit-0 axis must still see each half that its row weights.  Each
+    axis comes with a parity-even and a parity-odd chain part; in the free
+    chain the read-outs that parity forbids must be exact zeros."""
 
-    @pytest.mark.parametrize("order", list(ORDERS))
-    def test_edge_rows_match_register_oracle(self, order):
-        model = spectral_model(IsingParams(3, *CHAOTIC))
+    LABELS = [
+        "z2*x3", "x1*y2",
+        "x0*z1", "x0*y1*z3",
+        "y0*x2", "y0*z2",
+        "z0*y1*z3", "z0*z1*z3",
+    ]
+
+    @REGIME_ORDERS
+    def test_edge_rows_match_register_oracle(self, fields, order):
+        model = spectral_model(IsingParams(3, *fields))
         rng = np.random.default_rng(12)
         s = np.array([0.0, 1.0, 0.37])
-        rests = np.array([random_density(rng, model.dim // 2) for _ in s])
-        labels = ["z2*x3", "x0*z1", "y0*x2", "z0*y1*z3"]
+        # A rest that is block-diagonal on the rest sectors, as the drive's is.
+        rests = np.zeros((len(s), model.dim // 2, model.dim // 2), dtype=complex)
+        for rest in rests:
+            for rows in model.layout.rests:
+                rest[np.ix_(rows, rows)] = random_density(rng, len(rows))
+            rest /= np.trace(rest).real
         grid = DriveConfig(t_in=1.7, n_grid=4).grid
-        split = [split_qubit0(parse_operator_label(lab), model.n) for lab in labels]
+        parsed = [parse_operator_label(lab) for lab in self.LABELS]
+        split = [split_qubit0(p, model.n) for p in parsed]
         readout = qrp.driver._Readout(model, split, grid)
+        packed = np.array([
+            model.layout.pack(
+                [rest[np.ix_(rows, rows)] for rows in model.layout.rests],
+                out=np.empty(model.layout.offsets[-1]),
+            )
+            for rest in rests
+        ])
         with pytest.MonkeyPatch.context() as mp:
             ran = force_order(mp, order, model, rows=len(s))
-            got = readout(pack_hermitian(rests), s)
+            got = readout(packed, s)
         assert set(ran) == {order}
-        for o, label in enumerate(labels):
-            dense = build_dense(parse_operator_label(label), model.n + 1)
+        for o, p in enumerate(parsed):
+            if parity_forbidden(p, fields == FREE_FERMION):
+                assert np.all(got[o] == 0.0), p.label()
+            dense = build_dense(p, model.n + 1)
             for row, (s_k, rest) in enumerate(zip(s, rests)):
                 psi = input_state(s_k)
                 rho = np.kron(np.outer(psi, psi.conj()), rest)
                 for m, tau in enumerate(grid):
                     u = propagator(model, tau)
                     want = np.trace(u @ rho @ u.conj().T @ dense).real
-                    assert abs(got[o, row, m] - want) < 1e-12, (label, s_k, tau)
+                    assert abs(got[o, row, m] - want) < 1e-12, (p.label(), s_k, tau)
 
 
 class TestReadoutOrderChoice:
@@ -479,23 +509,40 @@ class TestReadoutOrderChoice:
         # a one-interval chunk never pays for the blocks
         assert not choose(1, [2**7], ["i", "x", "y", "z"], 50)
 
+    def test_two_sector_choices(self):
+        # The benchmark's free drives, counted per parity sector; the
+        # read-outs that parity forbids are not counted.
+        choose = qrp.driver._heisenberg_is_cheaper
+        # drive-scan: z1..z7 and x_i x_(i+1) of the 20 terms, 300 rests
+        assert choose(300, [2**6, 2**6], ["i"] * 13, 50)
+        # probe-diagnostics: x2*x3 and z2*z3 of fig6 at N = 7, 200 rests
+        assert choose(200, [2**6, 2**6], ["i"] * 2, 50)
+        # large-chain: fig4 at N = 8, 200 rests, and its correlations (the
+        # two mean rows), in both regimes
+        assert choose(200, [2**7, 2**7], ["i"] * 8, 50)
+        assert not choose(2, [2**7, 2**7], ["z"], 50)
+        assert not choose(2, [2**8], ["z"], 50)
+        # the crossing at N = 8 and 9, with z1..zN
+        assert not choose(37, [2**7, 2**7], ["i"] * 8, 50)
+        assert choose(38, [2**7, 2**7], ["i"] * 8, 50)
+        assert not choose(58, [2**8, 2**8], ["i"] * 9, 50)
+        assert choose(59, [2**8, 2**8], ["i"] * 9, 50)
+
 
 class TestDriveMemoryBound:
     """Traced peak of ``run_drive`` at N = 8 with chunks of eight stored
-    rests (a 1 MiB budget): it must not grow with the drive, and stays under
-    ``BOUND_CHUNKS`` budgets, i.e. one chunk plus 31 2^8 x 2^8 complex chain
-    matrices of 1 MiB.  Storing every rest of the longer drive would add
-    15 MiB."""
+    rests: it must not grow with the drive, and stays under
+    ``BOUND_CHUNKS`` chunk budgets.  With one sector the budget is 1 MiB,
+    one 2^8 x 2^8 complex chain matrix; with two it is half that, as is
+    every block.  Storing every rest of the longer drive would add 15 chunk
+    budgets."""
 
     BOUND_CHUNKS = 32
     READOUTS = ["z1", "x0*z2", "y0*x3", "z0*z4"]
 
-    @pytest.fixture(scope="class")
-    def model(self):
-        return spectral_model(IsingParams(n=8, h_x=-0.5, h_z=1.05))
-
-    @pytest.mark.parametrize("order", list(ORDERS))
-    def test_peak_flat_in_drive_length(self, model, order):
+    @REGIME_ORDERS
+    def test_peak_flat_in_drive_length(self, fields, order):
+        model = spectral_model(IsingParams(8, *fields))
         peaks = []
         budget = 0
         for length in (20, 80):

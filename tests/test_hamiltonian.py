@@ -18,7 +18,6 @@ from qrp.hamiltonian import (
     PERTURBED,
     IsingParams,
     build_hamiltonian,
-    chain_propagator,
     diagonalize,
     spectral_model,
 )
@@ -131,18 +130,19 @@ class TestParitySectors:
     def test_sector_count_and_spectrum(self, n, fields, count):
         params = params_for(n, fields)
         model = spectral_model(params)
-        assert len(model.sectors) == count
+        layout = model.layout
+        assert layout.count == count
         ham = build_hamiltonian(params)
         dense = np.linalg.eigh(ham)[0]
         assert np.max(np.abs(model.eigenvalues - dense)) <= 1e-12
         # Each sector's rows and columns cover the register once, and the
         # eigenvectors vanish outside them.
-        rows = np.concatenate([r for r, _ in model.sectors])
-        cols = np.concatenate([c for _, c in model.sectors])
+        rows = np.concatenate(layout.rows)
+        cols = np.concatenate(layout.columns)
         assert sorted(rows) == list(range(params.dim))
         assert sorted(cols) == list(range(params.dim))
         outside = model.eigenvectors.copy()
-        for r, c in model.sectors:
+        for r, c in zip(layout.rows, layout.columns):
             outside[np.ix_(r, c)] = 0.0
         assert not np.any(outside)
 
@@ -163,9 +163,9 @@ class TestParitySectors:
         odd = np.array([bin(i).count("1") % 2 for i in range(8)], dtype=bool)
         ham[odd[:, None] != odd[None, :]] = 0.0
         split = diagonalize(ham, params_for(3, CHAOTIC))
-        assert [list(r) for r, _ in split.sectors] == [[0, 3, 5, 6], [1, 2, 4, 7]]
+        assert [list(r) for r in split.layout.rows] == [[0, 3, 5, 6], [1, 2, 4, 7]]
         ham[0, 1] = ham[1, 0] = 1e-300
-        assert len(diagonalize(ham, params_for(3, FREE_FERMION)).sectors) == 1
+        assert diagonalize(ham, params_for(3, FREE_FERMION)).layout.count == 1
 
     def test_one_sector_diagonalizes_h_itself(self):
         # With one sector, eigh runs on H and its eigenvectors are kept: no
@@ -187,7 +187,7 @@ class TestParitySectors:
         assert np.array_equal(model.eigenvalues, energies)
         phases = np.array([v[np.argmax(np.abs(v) > 1e-12)] for v in vectors.T])
         assert np.array_equal(model.eigenvectors, vectors * (np.abs(phases) / phases))
-        assert [list(c) for _, c in model.sectors] == [list(range(params.dim))]
+        assert [list(c) for c in model.layout.columns] == [list(range(params.dim))]
 
 
 def ground(n, fields):
@@ -234,11 +234,6 @@ class TestPropagator:
             half = 8
             np.testing.assert_allclose(u[:half, :half], u[half:, half:], atol=1e-12)
             assert np.max(np.abs(u[:half, half:])) < 1e-12
-
-    def test_negative_time_rejected(self):
-        model = spectral_model(params_for(1, (0.0, 1.0)))
-        with pytest.raises(ValueError):
-            chain_propagator(model, -0.1)
 
 
 class TestEvolve:
