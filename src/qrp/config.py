@@ -268,11 +268,12 @@ def build_config(
     if readouts is None:
         readouts = default_readouts(model.n)
 
-    readouts = _unique(tuple(readouts), "readouts")
     try:
         operators = [parse_operator_label(label) for label in readouts]
     except OperatorLabelError as exc:
         raise ConfigError(f"readouts: {exc}") from exc
+    # The drive names its record by the normalized labels.
+    readouts = _unique(tuple(p.label() for p in operators), "readouts")
     otoc_operators = [p for spec in tasks.otoc for p in (spec.w, spec.v)]
     for key, ops in (("readouts", operators), ("tasks.otoc", otoc_operators)):
         for p in ops:

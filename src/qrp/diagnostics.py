@@ -11,10 +11,10 @@ time is a diagonal phase.  Entropies are not linear, so the
 mutual-information curve averages per-snapshot values.
 
 Correlations, OTOCs and TMI read the sector blocks that the drive stores
-and work per sector of the Hamiltonian (``SpectralModel.layout``), like the
-drive: nothing is scattered into a dense 2**N matrix, and where H conserves
-the chain parity every product runs on blocks of half the size.  With one
-sector the blocks are the dense matrices.
+and work per sector of the Hamiltonian, on the blocks ``SpectralModel``
+holds, like the drive: nothing is scattered into a dense 2**N matrix, and
+where H conserves the chain parity every product runs on blocks of half the
+size.  With one sector the blocks are the dense matrices.
 
 OTOC and TMI intermediates that grow with the number of grid times are built
 one chunk of times at a time, each chunk sized to stay within ``CHUNK_BYTES``
@@ -146,9 +146,8 @@ def otoc_curve(
     sign = -1.0 if "i" not in (w0, v0) and w0 != v0 else 1.0
     # The chain mean state in each sector's eigenbasis, V^dag sigma V: the
     # i-axis weighted state of the mean rows (s = 1, s = 0).
-    layout = model.layout
-    rows = zip((1.0, 0.0), map(layout.unpack, ensemble.mean_packed))
-    first, second = (w["i"] for w in _eigenbasis_states(layout, rows, "i"))
+    rows = zip((1.0, 0.0), map(model.unpack, ensemble.mean_packed))
+    first, second = (w["i"] for w in _eigenbasis_states(model, rows, "i"))
     states = [a + b for a, b in zip(first, second)]
     del first, second  # only the sum is held through the grid
     w_shift, w_eig = _eigenbasis_blocks(model, w_chain)
@@ -156,18 +155,18 @@ def otoc_curve(
     shift = w_shift + v_shift
     taus = np.asarray(taus, dtype=float)
     values = np.zeros(len(taus), dtype=complex)
-    per_tau = 3 * sum(len(e) ** 2 for e in layout.energies) * _COMPLEX_BYTES
+    per_tau = 3 * sum(len(e) ** 2 for e in model.energies) * _COMPLEX_BYTES
     for chunk in _tau_chunks(len(taus), per_tau):
-        phases = [np.exp(1j * np.outer(taus[chunk], e)) for e in layout.energies]
+        phases = [np.exp(1j * np.outer(taus[chunk], e)) for e in model.energies]
         wv = []  # wv[q]: the block of W(tau) V from sector q to q + shift
-        for q in range(layout.count):
-            p = layout.step(q, v_shift)
-            w_tau = phases[layout.step(p, w_shift)][:, :, None] * w_eig[p]
+        for q in range(model.count):
+            p = model.step(q, v_shift)
+            w_tau = phases[model.step(p, w_shift)][:, :, None] * w_eig[p]
             w_tau *= phases[p].conj()[:, None, :]
             wv.append(w_tau @ v_eig[q])
         terms = []
-        for q in range(layout.count):
-            back = layout.step(q, shift)
+        for q in range(model.count):
+            back = model.step(q, shift)
             terms.append(np.einsum("tij,tji->t", states[back] @ wv[q], wv[back]))
         values[chunk] = sign * sum(terms[1:], terms[0])
     return values
@@ -207,16 +206,16 @@ def _kept_layout(model: SpectralModel, kept: list[int]) -> tuple[list, list]:
     kept states of sector p + e.  Returns, per sector, that order as local
     row indices, and, per sector, its kept states in ascending order.
     """
-    n, layout = model.n, model.layout
+    n = model.n
     others = [i for i in range(n) if i not in kept]
     # Basis states sorted by (k, o), then stably by e.
     order = np.arange(model.dim).reshape((2,) * n).transpose(kept + others).ravel()
     others_mask = sum(1 << (n - 1 - i) for i in others)
-    ordered = order[np.argsort(layout.sector_of(order & others_mask), kind="stable")]
-    sector = layout.sector_of(ordered)
-    sector_of_k = layout.sector_of(np.arange(2 ** len(kept)))
-    sectors = range(layout.count)
-    orders = [layout.local[ordered[sector == p]] for p in sectors]
+    ordered = order[np.argsort(model.sector_of(order & others_mask), kind="stable")]
+    sector = model.sector_of(ordered)
+    sector_of_k = model.sector_of(np.arange(2 ** len(kept)))
+    sectors = range(model.count)
+    orders = [model.local[ordered[sector == p]] for p in sectors]
     return orders, [np.flatnonzero(sector_of_k == p) for p in sectors]
 
 
@@ -254,15 +253,14 @@ def tmi_curve(
     with_ref = union[0] == 0
     kept = [q - 1 for q in union if q >= 1]
     kept_dim = 2 ** len(kept)
-    layout = model.layout
     orders, kept_states = _kept_layout(model, kept)
     # Per chain sector p: the eigenvectors with rows in ``orders[p]``, and
     # V^dag, whose column halves are where qubit 1 is 0 (rest sector p) and
     # 1 (rest sector p + 1).
-    vecs_rows = [vecs[order] for vecs, order in zip(layout.vectors, orders)]
-    vecs_h = [vecs.conj().T for vecs in layout.vectors]
-    k_size = kept_dim // layout.count
-    n_e = layout.count if len(kept) < n else 1
+    vecs_rows = [vecs[order] for vecs, order in zip(model.vectors, orders)]
+    vecs_h = [vecs.conj().T for vecs in model.vectors]
+    k_size = kept_dim // model.count
+    n_e = model.count if len(kept) < n else 1
     joint_dim = 2 * kept_dim if with_ref else kept_dim
     # rows_of[a][p]: the joint's rows of qubit-0 block a (with the
     # reference) and of the kept states of sector p
@@ -275,7 +273,7 @@ def tmi_curve(
     # reference; (0, 1) is the conjugate transpose of (1, 0).
     pairs = [(0, (0, 1) if with_ref else (0,)), (1, (1,))]
     samples = ensemble.sample_inputs
-    rest_blocks = layout.unpack(ensemble.sample_packed)
+    rest_blocks = model.unpack(ensemble.sample_packed)
     taus = np.asarray(taus, dtype=float)
     totals = np.zeros(len(taus))
     # Per grid time: the scaled eigenvectors, both halves of L and one
@@ -288,13 +286,13 @@ def tmi_curve(
         # blocks[p][a]: L_a on the rest sector r with r + a = p
         blocks = []
         for p, (rows, vh) in enumerate(zip(vecs_rows, vecs_h)):
-            phases = np.exp(-1j * np.outer(taus[chunk], layout.energies[p]))
+            phases = np.exp(-1j * np.outer(taus[chunk], model.energies[p]))
             scaled = (rows[None, :, :] * phases[:, None, :]).reshape(-1, len(rows))
-            blocks.append(tuple(scaled @ vh[:, half] for half in layout.halves(p)))
+            blocks.append(tuple(scaled @ vh[:, half] for half in model.halves(p)))
             del scaled
         # ls[r]: L_0 and L_1 on rest sector r; shaped[r]: their rows split
         # by the sector e of the other qubits and by the kept states
-        ls = [(blocks[r][0], blocks[layout.step(r)][1]) for r in range(layout.count)]
+        ls = [(blocks[r][0], blocks[model.step(r)][1]) for r in range(model.count)]
         shaped = [[blk.reshape(count, n_e, k_size, -1) for blk in pair] for pair in ls]
         per_sample = 3 * count * joint_dim**2 * _COMPLEX_BYTES
         group = max(1, CHUNK_BYTES // (4 * per_sample))
@@ -315,8 +313,8 @@ def tmi_curve(
                         for a in heads:
                             part = weight[a, b] * (shaped[r][a] @ moved_t)
                             for e in range(n_e):
-                                top = rows_of[a][layout.step(r, a + e)]
-                                left = rows_of[b][layout.step(r, b + e)]
+                                top = rows_of[a][model.step(r, a + e)]
+                                left = rows_of[b][model.step(r, b + e)]
                                 joint[:, top[:, None], left] += part[:, e]
                 if with_ref:
                     lower = joint[:, kept_dim:, :kept_dim]

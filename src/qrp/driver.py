@@ -14,7 +14,7 @@ four h x h blocks of the interval propagator on qubit 1, one interval is
             + (1 - s) (K01 rest K01^dag + K11 rest K11^dag).
 
 ``rest`` is carried as its blocks on the rest sectors of qubits 2..N, which
-follow the Hamiltonian's (``SpectralModel.layout``, a ``SectorLayout``).
+follow the Hamiltonian's sector blocks (``SpectralModel``).
 Where H conserves the chain parity there are two, the parity classes of
 qubits 2..N: K00 and K11 keep that parity and K01 and K10 flip it, so the
 Kraus blocks map each sector to one sector and ``rest`` stays block-diagonal.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SectorLayout, SpectralModel
+from .hamiltonian import SpectralModel
 from .pauli import PauliString, as_pauli_string, minus_eigenspace, minus_rows
 from .states import pack_hermitian
 
@@ -139,7 +139,7 @@ class ReadoutRecord:
 class StateEnsemble:
     """Mean test state on the chain plus capped per-step snapshots.
 
-    Both are sector-packed like every stored rest (``SectorLayout.pack``).
+    Both are sector-packed like every stored rest (``SpectralModel.pack``).
     ``mean_packed`` holds the test means of s_k rest_k and (1 - s_k) rest_k:
     the qubit-1 blocks of the mean chain state (the off-diagonal ones
     vanish), and all that correlators (read-out rows s = 1 and s = 0) and
@@ -183,13 +183,12 @@ def _sector_spaces(chain: PauliString, model: SpectralModel) -> list:
     every sector sees every vector, as one row scaled by its coefficient;
     the rows of all sectors stay aligned.
     """
-    layout = model.layout
     rows, partners, phases = minus_eigenspace(chain, model.n)
-    local, sector = layout.local, layout.sector_of(rows)
+    local, sector = model.local, model.sector_of(rows)
     spaces = []
-    for q in range(layout.count):
+    for q in range(model.count):
         mine = sector == q
-        if layout.shift(chain):
+        if model.shift(chain):
             coef = np.where(mine, 1.0, -phases) * np.sqrt(0.5)
             spaces.append((np.where(mine, local[rows], local[partners]), None, coef))
         elif partners is None:
@@ -203,7 +202,7 @@ def _eigenbasis_blocks(
     model: SpectralModel, chain: PauliString
 ) -> tuple[int, list[np.ndarray]]:
     """V^dag O V for a chain Pauli string O, V the eigenvectors, as the
-    shift of O (``SectorLayout.shift``) and, per sector q, its block from
+    shift of O (``SpectralModel.shift``) and, per sector q, its block from
     sector q to sector q + shift in the sectors' own eigenbases.
 
     With B a basis of the -1 eigenspace of O (``pauli.minus_eigenspace``),
@@ -211,16 +210,15 @@ def _eigenbasis_blocks(
     D_q = B^dag V_q, the row gather of half the size that sector q feeds
     (``_sector_spaces``).  Every block is Hermitian where the shift is 0.
     """
-    layout = model.layout
-    shift = layout.shift(chain)
+    shift = model.shift(chain)
     spaces = _sector_spaces(chain, model)
     d = [
         minus_rows(vecs, space, np.empty((2, len(space[0]), len(vecs)), complex))
-        for vecs, space in zip(layout.vectors, spaces)
+        for vecs, space in zip(model.vectors, spaces)
     ]
     blocks = []
     for q, d_q in enumerate(d):
-        op = d[layout.step(q, shift)].conj().T @ d_q
+        op = d[model.step(q, shift)].conj().T @ d_q
         op *= -2.0
         if not shift:
             op.flat[:: len(op) + 1] += 1.0
@@ -228,7 +226,7 @@ def _eigenbasis_blocks(
     return shift, blocks
 
 
-def _eigenbasis_states(layout: SectorLayout, rows, axes):
+def _eigenbasis_states(model: SpectralModel, rows, axes):
     """Per row (s, rest blocks), the weighted states W_a(s, rest) of
     ``_Readout`` for the qubit-0 axes a in ``axes``, in the eigenbasis: per
     chain sector c, the block from c to c + 1 for x and y, and that of c for
@@ -238,14 +236,14 @@ def _eigenbasis_states(layout: SectorLayout, rows, axes):
     the halves of nonzero weight are rotated: a test-mean row has s = 1 or 0.
     """
     halves = []  # per chain sector: V_c0, V_c0^dag, V_c1, V_c1^dag
-    for c, vecs in enumerate(layout.vectors):
-        low, high = layout.halves(c)
+    for c, vecs in enumerate(model.vectors):
+        low, high = model.halves(c)
         halves.append((vecs[low], vecs[low].conj().T, vecs[high], vecs[high].conj().T))
-    zeros = [0.0] * layout.count
+    zeros = [0.0] * model.count
     for s, rest in rows:
         moved = None  # rest_(c+1) V_c1 per chain sector c
         if s < 1.0:
-            moved = [rest[layout.step(c)] @ v[2] for c, v in enumerate(halves)]
+            moved = [rest[model.step(c)] @ v[2] for c, v in enumerate(halves)]
         weighted = dict(x=zeros, y=zeros)
         if set(axes) & {"i", "z"}:
             p00 = p11 = zeros
@@ -259,8 +257,8 @@ def _eigenbasis_states(layout: SectorLayout, rows, axes):
                 weighted["z"] = [a - b for a, b in zip(p00, p11)]
         if set(axes) & {"x", "y"} and 0.0 < s < 1.0:
             c_s = np.sqrt(s * (1.0 - s))
-            p01 = [c_s * (halves[layout.step(c)][1] @ m) for c, m in enumerate(moved)]
-            back = [p01[layout.step(c)].conj().T for c in range(layout.count)]
+            p01 = [c_s * (halves[model.step(c)][1] @ m) for c, m in enumerate(moved)]
+            back = [p01[model.step(c)].conj().T for c in range(model.count)]
             weighted["x"] = [a + b for a, b in zip(p01, back)]
             weighted["y"] = [1j * (a - b) for a, b in zip(p01, back)]
         yield weighted
@@ -304,7 +302,7 @@ class _Readout:
         a = x:  c Tr[rest (X01 + X01^dag)]
         a = y:  c Tr[rest i (X01^dag - X01)],     c = sqrt(s (1 - s)).
 
-    ``rest`` is block-diagonal on the rest sectors (``SectorLayout``), so
+    ``rest`` is block-diagonal on the rest sectors (``SpectralModel``), so
     only the sector-diagonal parts of the X blocks count.  With two sectors,
     X00 and X11 of a parity-odd O and X01 of a parity-even one have none:
     those read-outs are exactly 0 and are not evaluated.
@@ -326,14 +324,13 @@ class _Readout:
     ):
         self.model = model
         self.grid = grid
-        layout = model.layout
         # X00 and X11 keep the sector, X01 moves it by one; the operators
         # evaluated are those that a block-diagonal rest can see.
         self.n_operators = len(split)
         self.kept = [
             o
             for o, (axis0, chain) in enumerate(split)
-            if layout.step(layout.shift(chain), axis0 in "xy") == 0
+            if model.step(model.shift(chain), axis0 in "xy") == 0
         ]
         self.axes = [split[o][0] for o in self.kept]
         self.chains = [split[o][1] for o in self.kept]
@@ -349,9 +346,9 @@ class _Readout:
         # that makes a dot product a trace.
         self.diagonals = [
             slice(segment.start, segment.start + len(rows))
-            for segment, rows in zip(layout.segments, layout.rests)
+            for segment, rows in zip(model.segments, model.rests)
         ]
-        self.scale = np.full(layout.offsets[-1], 2.0)
+        self.scale = np.full(model.offsets[-1], 2.0)
         for diagonal in self.diagonals:
             self.scale[diagonal] = 1.0
 
@@ -360,7 +357,7 @@ class _Readout:
         out = np.zeros((self.n_operators, len(s), len(self.grid)))
         if not self.axes:
             return out
-        sizes = [len(rows) for rows in self.model.layout.rows]
+        sizes = [len(rows) for rows in self.model.rows]
         if _heisenberg_is_cheaper(len(s), sizes, self.axes, len(self.grid)):
             self._heisenberg(packed, s, out)
         else:
@@ -376,22 +373,22 @@ class _Readout:
         return np.stack([columns[kind] for kind in self.kinds], axis=1)
 
     def _heisenberg(self, packed: np.ndarray, s: np.ndarray, out: np.ndarray):
-        layout = self.model.layout
+        model = self.model
         weights = self._block_weights(s)
         # Tr[rest] times the identity parts: s + (1 - s) for axis i,
         # s - (1 - s) for z, none for x and y.
         traces = sum(packed[:, diagonal].sum(axis=1) for diagonal in self.diagonals)
         parts = {"i": traces, "z": (2.0 * s - 1.0) * traces, "x": 0.0 * s, "y": 0.0 * s}
         identity = np.stack([parts[axis0] for axis0 in self.axes], axis=1)
-        n = [len(rows) for rows in layout.rests]
+        n = [len(rows) for rows in model.rests]
         blocks = [np.empty((len(self.kinds), m, m), dtype=complex) for m in n]
         heis = np.empty((len(self.kinds), len(self.scale)))
         minus = [
             np.empty((2, max(len(sp[c][0]) for sp in self.spaces), len(vecs)), complex)
-            for c, vecs in enumerate(layout.vectors)
+            for c, vecs in enumerate(model.vectors)
         ]
         for m, tau in enumerate(self.grid):
-            us = layout.propagators(tau)
+            us = model.propagators(tau)
             j = 0
             for axis0, spaces in zip(self.axes, self.spaces):
                 d, d_bar = [], []
@@ -400,16 +397,16 @@ class _Readout:
                     # conj(D) goes where the partner rows were
                     d_bar.append(np.conjugate(d[-1], out=buf[1, : len(d[-1])]))
                 if axis0 in "iz":
-                    for c in range(layout.count):
-                        low, high = layout.halves(c)
-                        up = blocks[layout.step(c)][j + 1]
+                    for c in range(model.count):
+                        low, high = model.halves(c)
+                        up = blocks[model.step(c)][j + 1]
                         np.matmul(d_bar[c][:, low].T, d[c][:, low], out=blocks[c][j])
                         np.matmul(d_bar[c][:, high].T, d[c][:, high], out=up)
                     j += 2
                     continue
-                for a in range(layout.count):
-                    b = layout.step(a)
-                    low, high = layout.halves(a)[0], layout.halves(b)[1]
+                for a in range(model.count):
+                    b = model.step(a)
+                    low, high = model.halves(a)[0], model.halves(b)[1]
                     g01 = np.matmul(d_bar[a][:, low].T, d[b][:, high], out=blocks[a][j])
                     if axis0 == "x":
                         g01 += g01.conj().T
@@ -417,14 +414,14 @@ class _Readout:
                         np.subtract(g01.conj().T, g01, out=g01)
                         g01 *= 1j
                 j += 1
-            for sector_blocks, segment in zip(blocks, layout.segments):
+            for sector_blocks, segment in zip(blocks, model.segments):
                 pack_hermitian(sector_blocks, out=heis[:, segment])
             heis *= self.scale
             values = np.add.reduceat((packed @ heis.T) * weights, self.starts, axis=1)
             out[self.kept, :, m] = (values + identity).T
 
     def _eigenbasis(self, packed: np.ndarray, s: np.ndarray, out: np.ndarray):
-        layout = self.model.layout
+        model = self.model
         if self.ops_eig_t is None:
             # Per operator, its shift and the conjugates of its blocks: for
             # Hermitian V^dag O V the transposes of the blocks back, so an
@@ -433,19 +430,19 @@ class _Readout:
             # instead of 45 ms at N = 9 (appA read-outs, 2 cores).
             self.ops_eig_t = []
             for chain in self.chains:
-                shift, blocks = _eigenbasis_blocks(self.model, chain)
+                shift, blocks = _eigenbasis_blocks(model, chain)
                 self.ops_eig_t.append((shift, [np.conj(op, out=op) for op in blocks]))
-        phases = [np.exp(-1j * np.outer(self.grid, e)) for e in layout.energies]
+        phases = [np.exp(-1j * np.outer(self.grid, e)) for e in model.energies]
         phases_ct = [p.conj().T for p in phases]
-        rows = zip(s, map(layout.unpack, packed))
-        for row, weighted in enumerate(_eigenbasis_states(layout, rows, self.axes)):
+        rows = zip(s, map(model.unpack, packed))
+        for row, weighted in enumerate(_eigenbasis_states(model, rows, self.axes)):
             for o, (axis0, (shift, ops_t)) in enumerate(zip(self.axes, self.ops_eig_t)):
                 # value[m] = sum_ab W[a,b] op[b,a] e^{-i(E_a - E_b) tau_m}, per
                 # sector c of b (a is in sector c + shift)
                 terms = []
                 for c, (state, op_t) in enumerate(zip(weighted[axis0], ops_t)):
                     tmp = (state * op_t) @ phases_ct[c]  # (d of a, n_grid)
-                    rows_phases = phases[layout.step(c, shift)]
+                    rows_phases = phases[model.step(c, shift)]
                     terms.append(np.einsum("ma,am->m", rows_phases, tmp))
                 out[self.kept[o], row] = sum(terms[1:], terms[0]).real
 
@@ -516,42 +513,45 @@ def run_drive(
     readout = _Readout(model, [split_qubit0(p, model.n) for p in parsed], config.grid)
 
     # Rest sector a has n[a] states; chain sector a holds it with qubit 1 = 0
-    # and sector a + 1 with qubit 1 = 1 (``SectorLayout``), so the first n[a]
+    # and sector a + 1 with qubit 1 = 1 (``SpectralModel``), so the first n[a]
     # rows and columns of the chain-sector block u[a] are those where qubit 1
     # is 0.
-    layout = model.layout
-    n = [len(rows) for rows in layout.rests]
-    u_in = layout.propagators(config.t_in)
+    n = [len(rows) for rows in model.rests]
+    u_in = model.propagators(config.t_in)
     weighted_s = [len(u) for u in u_in]
     # Per source sector a, the rows K00, K10 (qubit 1 was |0>, weight s:
     # the first ``weighted_s[a]``), then K01, K11 (weight 1 - s), landing in
     # sectors a, a+1, a+1, a.
     kraus = []
-    for a in range(layout.count):
-        b = layout.step(a)
-        low, high = layout.halves(a)[0], layout.halves(b)[1]
+    for a in range(model.count):
+        b = model.step(a)
+        low, high = model.halves(a)[0], model.halves(b)[1]
         kraus.append(np.concatenate([u_in[a][:, low], u_in[b][:, high]]))
     del u_in
     # Per target sector t, the four terms K rest K^dag that land there, in
     # the order K00, K10, K01, K11: (source sector, rows of its Kraus stack).
     terms = []
-    for t in range(layout.count):
-        p = layout.step(t, -1)
+    for t in range(model.count):
+        p = model.step(t, -1)
         terms.append([
             (t, slice(0, n[t])),
             (p, slice(n[p], n[p] + n[t])),
             (p, slice(n[p] + n[t], n[p] + 2 * n[t])),
-            (t, slice(n[t] + 2 * n[layout.step(t)], None)),
+            (t, slice(n[t] + 2 * n[model.step(t)], None)),
         ])
     kraus_h = [
         np.concatenate([kraus[a][rows].conj().T for a, rows in terms[t]])
-        for t in range(layout.count)
+        for t in range(model.count)
     ]
-    g = model.eigenvectors[:, 0]
+    # The ground state: column 0 of the sector with the lowest energy (the
+    # first on a tie), zero on every other chain state.
+    q = int(np.argmin([energies[0] for energies in model.energies]))
+    g = np.zeros(model.dim, dtype=complex)
+    g[model.rows[q]] = model.vectors[q][:, 0]
     h = model.dim // 2
     rest = [
         np.outer(g[rows], g[rows].conj()) + np.outer(g[h + rows], g[h + rows].conj())
-        for rows in layout.rests
+        for rows in model.rests
     ]
     # Buffers of one step, reused: per sector the blocks K_j rest, the
     # terms landing there side by side, and the next rest.  Until the Kraus
@@ -560,7 +560,7 @@ def run_drive(
     side = [np.empty((n[t], len(kh)), dtype=complex) for t, kh in enumerate(kraus_h)]
     spare = [np.empty_like(block) for block in rest]
     scratch = moved[0].reshape(-1).view(np.float64)
-    width = layout.offsets[-1]
+    width = model.offsets[-1]
 
     n_rows = config.n_train + config.n_test
     record_values = np.zeros((len(parsed), n_rows, config.n_grid))
@@ -582,7 +582,7 @@ def run_drive(
         row = k - config.n_washout
         if row >= 0:
             slot = row % len(chunk)
-            packed = layout.pack(rest, out=chunk[slot])
+            packed = model.pack(rest, out=chunk[slot])
             spot = row - config.n_train
             if spot >= 0:
                 mean_packed[0] += s * packed
@@ -594,16 +594,15 @@ def run_drive(
                     chunk[: slot + 1], s_values[k - slot : k + 1]
                 )
 
-        for a in range(layout.count):
+        for a in range(model.count):
             np.matmul(kraus[a], rest[a], out=moved[a])
             moved[a][: weighted_s[a]] *= s
             moved[a][weighted_s[a] :] *= 1.0 - s
-        for t in range(layout.count):
+        for t in range(model.count):
             column = 0
             for a, rows in terms[t]:
-                width = n[a]
-                side[t][:, column : column + width] = moved[a][rows]
-                column += width
+                side[t][:, column : column + n[a]] = moved[a][rows]
+                column += n[a]
             np.matmul(side[t], kraus_h[t], out=spare[t])
         rest, spare = spare, rest
 

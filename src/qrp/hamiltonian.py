@@ -1,4 +1,4 @@
-"""Ising-chain Hamiltonian, exact diagonalization, and its sector layout.
+"""Ising-chain Hamiltonian and its exact diagonalization, block by sector.
 
 The chain qubits are labeled 1..N on the full register; the dynamics ignore
 the detached reference qubit 0.  All matrices produced here live on the
@@ -67,14 +67,16 @@ def build_hamiltonian(params: IsingParams) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class SectorLayout:
-    """The blocks H leaves invariant, read by every path that works per sector.
+class SpectralModel:
+    """Eigendecomposition of the chain Hamiltonian, kept as the blocks H
+    leaves invariant, which every path that works per sector reads.
 
     Chain sector q holds the basis states ``rows[q]`` (ascending): the even
     and the odd chain-parity class when every entry of H between them is
     exactly zero, else all states (``local`` is each state's position in its
     sector).  ``vectors[q]`` are its eigenvectors in its own basis, with
-    ``energies[q]`` ascending: columns ``columns[q]`` of the dense ones.
+    ``energies[q]`` ascending.  No dense 2**N x 2**N eigenvector matrix is
+    kept.
 
     The running state on qubits 2..N is block-diagonal on the rest sectors
     ``rests``.  Rest sector r pairs with chain sectors r and r + 1: it holds
@@ -87,13 +89,13 @@ class SectorLayout:
     moves a state by its number of x and y factors (``shift``).
     """
 
+    params: IsingParams
     rows: list[np.ndarray]
-    columns: list[np.ndarray]
     vectors: list[np.ndarray]
     energies: list[np.ndarray]
 
     def __post_init__(self):
-        dim = sum(len(rows) for rows in self.rows)
+        dim = self.dim
         self.local = np.empty(dim, dtype=np.intp)
         for rows in self.rows:
             self.local[rows] = np.arange(len(rows))
@@ -101,6 +103,20 @@ class SectorLayout:
         self.offsets = np.cumsum([0] + [len(rows) ** 2 for rows in self.rests])
         self.segments = [slice(a, b) for a, b in zip(self.offsets, self.offsets[1:])]
         self.count = len(self.rows)
+        # The two lowest energies of all sectors, against the largest |E|.
+        lowest = np.sort(np.concatenate([e[:2] for e in self.energies]))
+        scale = max(max(np.max(np.abs(e)) for e in self.energies), 1.0)
+        self.degenerate_ground = bool(
+            lowest.size > 1 and lowest[1] - lowest[0] <= 1e-9 * scale
+        )
+
+    @property
+    def n(self) -> int:
+        return self.params.n
+
+    @property
+    def dim(self) -> int:
+        return self.params.dim
 
     def step(self, q: int, k: int = 1) -> int:
         """The sector k steps from sector q."""
@@ -135,27 +151,6 @@ class SectorLayout:
         return [(vecs * np.exp(-1j * e * tau)) @ vecs.conj().T for vecs, e in pairs]
 
 
-@dataclass
-class SpectralModel:
-    """Eigendecomposition of the chain Hamiltonian: energies ascending, the
-    dense eigenvectors (zero outside each sector's rows and columns), and
-    the sector layout every per-sector path reads."""
-
-    params: IsingParams
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    layout: SectorLayout
-    degenerate_ground: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def dim(self) -> int:
-        return self.params.dim
-
-
 def _fix_phases(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Make the first nonzero amplitude of each column real positive."""
     fixed = vectors.copy()
@@ -179,12 +174,8 @@ def _parity_classes(hamiltonian: np.ndarray) -> list[np.ndarray]:
 
 
 def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
-    """Full eigendecomposition; eigenvalues ascending, orthonormal columns.
-
-    Each parity sector (``_parity_classes``) is diagonalized on its own,
-    kept in the model's ``layout``, and scattered into the dense
-    eigenvectors, whose eigenpairs are merged in ascending energy.
-    """
+    """Eigendecomposition per parity sector (``_parity_classes``); each
+    sector's eigenvalues ascend and its eigenvectors are orthonormal."""
     hamiltonian = np.asarray(hamiltonian, dtype=complex)
     if hamiltonian.shape != (params.dim, params.dim):
         raise ValueError(
@@ -194,7 +185,7 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
     if herm_residue > 1e-10:
         raise ValueError(f"Hamiltonian is not Hermitian (residue {herm_residue:.3e})")
     classes = _parity_classes(hamiltonian)
-    whole = len(classes) == 1  # then H itself: no sector copy, and no scatter
+    whole = len(classes) == 1  # then H itself: no sector copy
     try:
         parts = [
             np.linalg.eigh(hamiltonian if whole else hamiltonian[np.ix_(rows, rows)])
@@ -203,29 +194,11 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         norm = np.max(np.abs(hamiltonian))
         raise RuntimeError(f"eigensolver failed (max |H| = {norm:.3e}): {exc}") from exc
-    unsorted = np.concatenate([energies for energies, _ in parts])
-    order = np.argsort(unsorted, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))  # sorted position of each eigenpair
-    # eigh's energies ascend, so with one sector ``order`` is the identity and
-    # the sector's phase-fixed vectors are the dense ones.
-    blocks = [_fix_phases(block) for _, block in parts]
-    columns = np.split(column, np.cumsum([len(block) for block in blocks])[:-1])
-    vectors = blocks[0]
-    if not whole:
-        vectors = np.zeros((params.dim, params.dim), dtype=complex)
-        for rows, cols, block in zip(classes, columns, blocks):
-            vectors[np.ix_(rows, cols)] = block
-    layout = SectorLayout(classes, columns, blocks, [energies for energies, _ in parts])
-    energies = unsorted[order]
-    scale = max(np.max(np.abs(energies)), 1.0)
-    degenerate = bool(energies.size > 1 and energies[1] - energies[0] <= 1e-9 * scale)
     return SpectralModel(
         params=params,
-        eigenvalues=energies,
-        eigenvectors=vectors,
-        layout=layout,
-        degenerate_ground=degenerate,
+        rows=classes,
+        vectors=[_fix_phases(vectors) for _, vectors in parts],
+        energies=[energies for energies, _ in parts],
     )
 
 

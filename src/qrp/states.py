@@ -47,13 +47,13 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, ...] | list[int]) -> np.ndar
     return reduced.reshape(batch + (d, d))
 
 
-def spectrum_entropy(eigenvalues: np.ndarray) -> np.ndarray:
+def spectrum_entropy(spectra: np.ndarray) -> np.ndarray:
     """Base-2 entropy of each spectrum along the last axis.
 
     Eigenvalues at or below ``EIG_CUTOFF``, tiny negative round-off included,
     contribute nothing.
     """
-    lam = np.where(eigenvalues > EIG_CUTOFF, eigenvalues, 1.0)
+    lam = np.where(spectra > EIG_CUTOFF, spectra, 1.0)
     return -np.sum(lam * np.log2(lam), axis=-1)
 
 

@@ -102,10 +102,25 @@ def tmi(state: np.ndarray, spec) -> float:
     )
 
 
+def dense_spectrum(model: SpectralModel) -> tuple[np.ndarray, np.ndarray]:
+    """Energies ascending and the dense 2**N x 2**N eigenvectors of a model:
+    each sector's eigenvectors scattered onto its rows, and the eigenpairs of
+    all sectors sorted stably by energy (ties in sector order), so column 0
+    is the ground state the drive starts from."""
+    energies = np.concatenate(model.energies)
+    vectors = np.zeros((model.dim, model.dim), dtype=complex)
+    start = 0
+    for rows, block in zip(model.rows, model.vectors):
+        vectors[rows, start : start + len(rows)] = block
+        start += len(rows)
+    order = np.argsort(energies, kind="stable")
+    return energies[order], vectors[:, order]
+
+
 def chain_propagator(model: SpectralModel, tau: float) -> np.ndarray:
     """exp(-i H tau) on the chain register, from the dense eigenvectors."""
-    phases = np.exp(-1j * model.eigenvalues * tau)
-    return (model.eigenvectors * phases) @ model.eigenvectors.conj().T
+    energies, vectors = dense_spectrum(model)
+    return (vectors * np.exp(-1j * energies * tau)) @ vectors.conj().T
 
 
 def propagator(model: SpectralModel, tau: float) -> np.ndarray:
@@ -134,7 +149,7 @@ def heisenberg(
 
 def initial_state(model: SpectralModel) -> np.ndarray:
     """|0><0| on qubit 0 tensored with the chain ground-state projector."""
-    g = model.eigenvectors[:, 0]
+    g = dense_spectrum(model)[1][:, 0]
     anc = np.zeros((2, 2), dtype=complex)
     anc[0, 0] = 1.0
     return np.kron(anc, np.outer(g, g.conj()))
@@ -221,13 +236,13 @@ def chain_mean(ensemble: StateEnsemble, model: SpectralModel) -> np.ndarray:
     """Dense 2**N chain mean state of a drive's ensemble: its two packed
     qubit-1 blocks on the diagonal."""
     return scipy.linalg.block_diag(
-        *unpack_sectors(ensemble.mean_packed, model.layout.rests)
+        *unpack_sectors(ensemble.mean_packed, model.rests)
     )
 
 
 def snapshot_rests(ensemble: StateEnsemble, model: SpectralModel) -> np.ndarray:
     """Dense rests (qubits 2..N) of a drive's ensemble snapshots."""
-    return unpack_sectors(ensemble.sample_packed, model.layout.rests)
+    return unpack_sectors(ensemble.sample_packed, model.rests)
 
 
 def sample_state(ensemble: StateEnsemble, index: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 
 from helpers import (
     build_dense,
+    dense_spectrum,
     evolve,
     expectation,
     input_state,
@@ -304,7 +305,7 @@ def test_10_numerical_kernel_suite():
         u = propagator(model, tau)
         checks.append(np.max(np.abs(u.conj().T @ u - np.eye(32))) <= 1e-10)
 
-    v, e = model.eigenvectors, model.eigenvalues
+    e, v = dense_spectrum(model)
     rebuilt = (v * e) @ v.conj().T
     ham = build_hamiltonian(model.params)
     checks.append(np.max(np.abs(rebuilt - ham)) <= 1e-10 * np.max(np.abs(ham)))

@@ -578,6 +578,30 @@ class TestCli:
         assert message in cli_error(args)
         assert not out.exists()
 
+    def test_duplicate_readout_after_normalizing_rejected(self, tmp_path):
+        # " z1" names the operator z1: rejected before anything runs, not
+        # by the drive after the model is built.
+        conf = write_yaml(tmp_path, 'model:\n  n: 3\nreadouts: [z1, " z1"]\n')
+        message = "duplicate entry 'z1' in readouts"
+        assert cli_error(["validate", "--config", str(conf)]) == message
+        out = tmp_path / "out"
+        assert cli_error(["run", "--config", str(conf), "--out", str(out)]) == message
+        assert not out.exists()
+
+    def test_readout_label_with_sites_out_of_order_runs(self, tmp_path):
+        # x3*x2 is kept as x2*x3, the label the drive's record carries.
+        blocks = {"model": {"n": 3}, "drive": TINY_DRIVE, "readouts": ["x3*x2"],
+                  "tasks": {"stm_delays": [0]}}
+        conf = write_yaml(tmp_path, yaml.safe_dump(blocks))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(conf), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert (out / "stm_x2x3_d0.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["readouts"] == ["x2*x3"]
+
     def test_non_string_operator_label_rejected(self, tmp_path):
         conf = write_yaml(tmp_path, "tasks:\n  otoc: [{w: 3, v: z1}]\n")
         message = cli_error(["validate", "--config", str(conf)])

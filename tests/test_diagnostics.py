@@ -499,7 +499,7 @@ class TestMemoryBound:
         def packed():
             return np.concatenate([
                 pack_hermitian(random_density(rng, len(rows)) / 2)
-                for rows in model.layout.rests
+                for rows in model.rests
             ])
 
         ensemble = StateEnsemble(

@@ -103,15 +103,17 @@ def test_symmetry_is_not_keyed_on_a_regime():
 
 
 def test_one_sector_layout():
-    # ``SpectralModel.layout`` is the one place that knows the sector
-    # layout.  No module defines or calls a second one, or the dense
-    # oracles that scatter sector blocks (``unpack_sectors``) or build the
-    # propagator from the dense eigenvectors (``chain_propagator``); those
-    # live in ``tests/helpers.py``.  Sector indices are added modulo the
-    # count only in ``hamiltonian.py`` (``SectorLayout.step``).
+    # ``SpectralModel`` is its sector blocks and the one place that knows
+    # their layout.  No module defines or reads a second layout value, dense
+    # eigenpairs (``eigenvectors``, ``eigenvalues``), or the dense oracles
+    # that scatter sector blocks (``unpack_sectors``, ``dense_spectrum``) or
+    # build the propagator from them (``chain_propagator``); those live in
+    # ``tests/helpers.py``.  Sector indices are added modulo the count only
+    # in ``hamiltonian.py`` (``SpectralModel.step``).
     banned = {
         "unpack_sectors", "chain_propagator", "rest_sectors", "sector_bases",
         "sector_propagators", "_parity_shift", "_sector_blocks",
+        "dense_spectrum", "eigenvectors", "eigenvalues", "SectorLayout", "layout",
     }
     found = []
     for path in sorted((ROOT / "src" / "qrp").glob("*.py")):

@@ -41,7 +41,7 @@ ORDERS = {"heisenberg": True, "eigenbasis": False}
 def force_order(mp, order: str, model, rows: int) -> list[str]:
     """Make ``run_drive`` read out ``rows`` stored rests per chunk, all in
     one contraction order; returns the list of orders that ran."""
-    packed = model.layout.offsets[-1]
+    packed = model.offsets[-1]
     mp.setattr(qrp.driver, "CHUNK_BYTES", rows * 8 * packed)
     mp.setattr(qrp.driver, "_heisenberg_is_cheaper", lambda *args: ORDERS[order])
     ran = []
@@ -264,7 +264,8 @@ class TestRunDrive:
     def test_trace_drift_aborts(self):
         params = IsingParams(n=2, h_x=0.0, h_z=1.0)
         model = spectral_model(params)
-        model.eigenvectors = model.eigenvectors * 1.001  # force a broken basis
+        # Scaled sector blocks: the ground state has norm 1.001.
+        model.vectors = [vectors * 1.001 for vectors in model.vectors]
         cfg = small_config()
         inputs = generate_inputs(cfg.seed, cfg.n_total)
         with pytest.raises(DriveError, match=r"interval 0 \(washout\): trace drift"):
@@ -462,7 +463,7 @@ class TestReadoutEdgeRows:
         # A rest that is block-diagonal on the rest sectors, as the drive's is.
         rests = np.zeros((len(s), model.dim // 2, model.dim // 2), dtype=complex)
         for rest in rests:
-            for rows in model.layout.rests:
+            for rows in model.rests:
                 rest[np.ix_(rows, rows)] = random_density(rng, len(rows))
             rest /= np.trace(rest).real
         grid = DriveConfig(t_in=1.7, n_grid=4).grid
@@ -470,9 +471,9 @@ class TestReadoutEdgeRows:
         split = [split_qubit0(p, model.n) for p in parsed]
         readout = qrp.driver._Readout(model, split, grid)
         packed = np.array([
-            model.layout.pack(
-                [rest[np.ix_(rows, rows)] for rows in model.layout.rests],
-                out=np.empty(model.layout.offsets[-1]),
+            model.pack(
+                [rest[np.ix_(rows, rows)] for rows in model.rests],
+                out=np.empty(model.offsets[-1]),
             )
             for rest in rests
         ])

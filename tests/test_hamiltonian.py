@@ -6,6 +6,7 @@ import scipy.linalg
 
 from helpers import (
     build_dense,
+    dense_spectrum,
     evolve,
     propagator,
     random_density,
@@ -77,13 +78,13 @@ class TestBuildHamiltonian:
 class TestDiagonalize:
     def test_two_level(self):
         model = diagonalize(np.diag([1.0, -1.0]), params_for(1, (0.0, 1.0)))
-        np.testing.assert_allclose(model.eigenvalues, [-1.0, 1.0])
+        np.testing.assert_allclose(dense_spectrum(model)[0], [-1.0, 1.0])
 
     def test_two_site_spectrum(self):
         model = spectral_model(params_for(2, (0.0, 1.0)))
         root5 = np.sqrt(5.0)
         np.testing.assert_allclose(
-            model.eigenvalues, [-root5, -1.0, 1.0, root5], atol=1e-12
+            dense_spectrum(model)[0], [-root5, -1.0, 1.0, root5], atol=1e-12
         )
 
     def test_against_alternate_eigensolver(self):
@@ -91,11 +92,11 @@ class TestDiagonalize:
         h = random_hermitian(rng, 8)
         model = diagonalize(h, params_for(3, (0.0, 1.0)))
         reference = scipy.linalg.eigh(h, driver="ev", eigvals_only=True)
-        np.testing.assert_allclose(model.eigenvalues, reference, atol=1e-9)
+        np.testing.assert_allclose(dense_spectrum(model)[0], reference, atol=1e-9)
 
     def test_reconstruction_and_orthonormality(self):
         model = spectral_model(params_for(5, CHAOTIC))
-        v, e = model.eigenvectors, model.eigenvalues
+        e, v = dense_spectrum(model)
         rebuilt = (v * e) @ v.conj().T
         ham = build_hamiltonian(model.params)
         bound = 1e-10 * np.max(np.abs(ham))
@@ -104,7 +105,8 @@ class TestDiagonalize:
 
     def test_ascending(self):
         model = spectral_model(params_for(4, CHAOTIC))
-        assert np.all(np.diff(model.eigenvalues) >= -1e-12)
+        assert all(np.all(np.diff(e) >= -1e-12) for e in model.energies)
+        assert np.all(np.diff(dense_spectrum(model)[0]) >= 0.0)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -130,25 +132,24 @@ class TestParitySectors:
     def test_sector_count_and_spectrum(self, n, fields, count):
         params = params_for(n, fields)
         model = spectral_model(params)
-        layout = model.layout
-        assert layout.count == count
+        assert model.count == count
         ham = build_hamiltonian(params)
         dense = np.linalg.eigh(ham)[0]
-        assert np.max(np.abs(model.eigenvalues - dense)) <= 1e-12
-        # Each sector's rows and columns cover the register once, and the
-        # eigenvectors vanish outside them.
-        rows = np.concatenate(layout.rows)
-        cols = np.concatenate(layout.columns)
-        assert sorted(rows) == list(range(params.dim))
-        assert sorted(cols) == list(range(params.dim))
-        outside = model.eigenvectors.copy()
-        for r, c in zip(layout.rows, layout.columns):
-            outside[np.ix_(r, c)] = 0.0
+        assert np.max(np.abs(dense_spectrum(model)[0] - dense)) <= 1e-12
+        # The sectors' rows cover the register once, each sector has one
+        # square block of eigenvectors in its own basis, and H has no entry
+        # between two sectors.
+        assert sorted(np.concatenate(model.rows)) == list(range(params.dim))
+        for rows, vecs, e in zip(model.rows, model.vectors, model.energies):
+            assert vecs.shape == (len(rows), len(rows)) == (len(e),) * 2
+        outside = ham.copy()
+        for rows in model.rows:
+            outside[np.ix_(rows, rows)] = 0.0
         assert not np.any(outside)
 
     def test_free_reconstruction_and_orthonormality(self):
         model = spectral_model(params_for(5, FREE_FERMION))
-        v, e = model.eigenvectors, model.eigenvalues
+        e, v = dense_spectrum(model)
         rebuilt = (v * e) @ v.conj().T
         ham = build_hamiltonian(model.params)
         assert np.max(np.abs(rebuilt - ham)) <= 1e-10 * np.max(np.abs(ham))
@@ -163,9 +164,9 @@ class TestParitySectors:
         odd = np.array([bin(i).count("1") % 2 for i in range(8)], dtype=bool)
         ham[odd[:, None] != odd[None, :]] = 0.0
         split = diagonalize(ham, params_for(3, CHAOTIC))
-        assert [list(r) for r in split.layout.rows] == [[0, 3, 5, 6], [1, 2, 4, 7]]
+        assert [list(r) for r in split.rows] == [[0, 3, 5, 6], [1, 2, 4, 7]]
         ham[0, 1] = ham[1, 0] = 1e-300
-        assert diagonalize(ham, params_for(3, FREE_FERMION)).layout.count == 1
+        assert diagonalize(ham, params_for(3, FREE_FERMION)).count == 1
 
     def test_one_sector_diagonalizes_h_itself(self):
         # With one sector, eigh runs on H and its eigenvectors are kept: no
@@ -184,15 +185,44 @@ class TestParitySectors:
         assert peak < 3.5 * matrix, f"{peak / matrix:.2f} matrices"
         ham = build_hamiltonian(params)
         energies, vectors = np.linalg.eigh(ham)
-        assert np.array_equal(model.eigenvalues, energies)
+        assert np.array_equal(model.energies[0], energies)
         phases = np.array([v[np.argmax(np.abs(v) > 1e-12)] for v in vectors.T])
-        assert np.array_equal(model.eigenvectors, vectors * (np.abs(phases) / phases))
-        assert [list(c) for c in model.layout.columns] == [list(range(params.dim))]
+        assert np.array_equal(model.vectors[0], vectors * (np.abs(phases) / phases))
+        assert [list(r) for r in model.rows] == [list(range(params.dim))]
+
+    @pytest.mark.parametrize(
+        "fields", [FREE_FERMION, CHAOTIC], ids=["free", "chaotic"]
+    )
+    def test_no_dense_eigenvectors(self, fields):
+        # The model keeps its sector blocks and no 2^N x 2^N matrix beside
+        # them: with one sector the block is the only such matrix.
+        params = params_for(9, fields)
+        model = spectral_model(params)
+        square = [
+            name
+            for name, value in vars(model).items()
+            if isinstance(value, np.ndarray) and value.shape == (params.dim,) * 2
+        ]
+        assert not square, square
+
+    def test_free_model_retains_its_blocks(self):
+        # At N = 9 a free model's two sector blocks are 2 MiB; a dense
+        # eigenvector matrix beside them would add 4 MiB.
+        params = params_for(9, FREE_FERMION)
+        spectral_model(params)
+        tracemalloc.start()
+        try:
+            model = spectral_model(params)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        blocks = sum(vecs.nbytes for vecs in model.vectors)
+        assert retained < 1.1 * blocks, f"{retained / blocks:.2f} x the blocks"
 
 
 def ground(n, fields):
     """Lowest eigenvector of the chain, the drive's initial chain state."""
-    return spectral_model(params_for(n, fields)).eigenvectors[:, 0]
+    return dense_spectrum(spectral_model(params_for(n, fields)))[1][:, 0]
 
 
 class TestGroundState:
