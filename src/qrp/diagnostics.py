@@ -7,8 +7,11 @@ contracted out analytically, as in the drive.  Correlators and OTOCs are
 linear in the state, so averaging over the testing inputs reduces exactly to
 a trace against the drive's packed mean blocks: a correlator is a read-out
 of them, and OTOCs use them in the Hamiltonian eigenbasis, where every grid
-time is a diagonal phase.  Entropies are not linear, so the
-mutual-information curve averages per-snapshot values.
+time is a diagonal phase, against the -1 eigenspace of V in the same row
+gather that read-outs use, so each grid time costs products of half the
+size.  Entropies are not linear, so the mutual-information curve averages
+per-snapshot values; the partitions of one call share a joint state per
+snapshot and grid time wherever one's qubits lie inside another's.
 
 Correlations, OTOCs and TMI read the sector blocks that the drive stores
 and work per sector of the Hamiltonian, on the blocks ``SpectralModel``
@@ -25,6 +28,7 @@ grid is.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ from .driver import (
     StateEnsemble,
     _eigenbasis_blocks,
     _eigenbasis_states,
+    _minus_blocks,
     _Readout,
     split_qubit0,
 )
@@ -131,44 +136,75 @@ def otoc_curve(
     Write W = w_0 (x) W_c and V = v_0 (x) V_c.  Qubit 0 is outside the
     dynamics, so WVWV = (w_0 v_0 w_0 v_0) (x) (W_c V_c W_c V_c), where the
     qubit-0 factor is +1 or -1 (Pauli operators commute or anticommute).  The
-    chain factor is traced against the chain mean state in the eigenbasis,
-    where W_c(tau)_ab = exp(i (E_a - E_b) tau) W_c_ab.
+    chain factor is traced against the chain mean state sigma in the
+    eigenbasis, where W_c(tau)_ab = exp(i (E_a - E_b) tau) W_c_ab.
 
-    Everything is kept as blocks over the Hamiltonian's sectors: the mean
-    state keeps each sector, and W_c and V_c move sector q to q + w and
-    q + v (``driver._eigenbasis_blocks``), so WV moves it to q + w + v and the trace
-    takes, per sector, one block of WV out and one back.  With one sector
-    these are the dense products.
+    With B a basis of the -1 eigenspace of V_c, V_c = I - 2 B B^dag, and
+    W_c(tau) is Hermitian and squares to I, so W_c(tau) V_c W_c(tau) =
+    I - 2 (W_c(tau) B)(W_c(tau) B)^dag and the chain factor is
+
+        Tr[M] - 2 Tr[Y M Y^dag],  M = V_c sigma,  Y = B^dag W_c(tau),
+
+    where Y has half the rows of W_c(tau).  In the eigenbasis B^dag is
+    D = B^dag V (``driver._minus_blocks``), and Y is D with its columns
+    scaled by exp(i E tau), times W_c, with its columns scaled by
+    exp(-i E tau).  M is built once; a chunk of grid times then takes two
+    tall products, of the stacked scaled D with W_c and of the stacked Y
+    with M, and an elementwise reduction.
+
+    Everything is kept as blocks over the Hamiltonian's sectors: sigma
+    keeps each sector, and W_c and V_c move sector q to q + w and q + v.
+    So Y_p = D_(p+w) W_c(p+w <- p) and M_q = V_c(q+v <- q) sigma_q, and
+    the trace is the sum over q of Tr[Y_(q+v) M_q Y_q^dag] (D's rows are
+    aligned across sectors where V_c moves them).  With one sector these
+    are the dense products.
     """
     n = model.n
     w0, w_chain = split_qubit0(spec.w, n)
     v0, v_chain = split_qubit0(spec.v, n)
     sign = -1.0 if "i" not in (w0, v0) and w0 != v0 else 1.0
     # The chain mean state in each sector's eigenbasis, V^dag sigma V: the
-    # i-axis weighted state of the mean rows (s = 1, s = 0).
+    # i-axis weighted state of the mean rows (s = 1, s = 0); then per sector
+    # q, M_q = delta sigma_q - 2 D_(q+v)^dag (D_q sigma_q).  W_c's blocks
+    # are built last, once only M is held.
     rows = zip((1.0, 0.0), map(model.unpack, ensemble.mean_packed))
-    first, second = (w["i"] for w in _eigenbasis_states(model, rows, "i"))
-    states = [a + b for a, b in zip(first, second)]
-    del first, second  # only the sum is held through the grid
+    states, second = (w["i"] for w in _eigenbasis_states(model, rows, "i"))
+    for state, other in zip(states, second):
+        state += other
+    del second, other
+    v_shift, d = _minus_blocks(model, v_chain)
+    moved = []
+    for q, state in enumerate(states):
+        m = d[model.step(q, v_shift)].conj().T @ (d[q] @ state)
+        m *= -2.0
+        if not v_shift:
+            m += state
+        moved.append(m)
+    del states, state
     w_shift, w_eig = _eigenbasis_blocks(model, w_chain)
-    v_shift, v_eig = _eigenbasis_blocks(model, v_chain)
-    shift = w_shift + v_shift
+    trace = 0.0 if v_shift else sum(np.trace(m) for m in moved)
     taus = np.asarray(taus, dtype=float)
     values = np.zeros(len(taus), dtype=complex)
-    per_tau = 3 * sum(len(e) ** 2 for e in model.energies) * _COMPLEX_BYTES
-    for chunk in _tau_chunks(len(taus), per_tau):
+    # Per grid time: the scaled D, Y and Y M, each about half a d x d matrix.
+    per_tau = 3 * sum(block.size for block in d) * _COMPLEX_BYTES
+    for chunk in _tau_chunks(len(taus), max(per_tau, 1)):
+        count = chunk.stop - chunk.start
         phases = [np.exp(1j * np.outer(taus[chunk], e)) for e in model.energies]
-        wv = []  # wv[q]: the block of W(tau) V from sector q to q + shift
-        for q in range(model.count):
-            p = model.step(q, v_shift)
-            w_tau = phases[model.step(p, w_shift)][:, :, None] * w_eig[p]
-            w_tau *= phases[p].conj()[:, None, :]
-            wv.append(w_tau @ v_eig[q])
-        terms = []
-        for q in range(model.count):
-            back = model.step(q, shift)
-            terms.append(np.einsum("tij,tji->t", states[back] @ wv[q], wv[back]))
-        values[chunk] = sign * sum(terms[1:], terms[0])
+        ys = []  # ys[p]: Y_p over the chunk, (count, rows of D_(p+w), d_p)
+        for p, w_block in enumerate(w_eig):
+            t = model.step(p, w_shift)
+            scaled = (d[t] * phases[t][:, None, :]).reshape(-1, len(w_block))
+            y = (scaled @ w_block).reshape(count, len(d[t]), w_block.shape[1])
+            del scaled
+            y *= phases[p].conj()[:, None, :]
+            ys.append(y)
+        total = np.zeros(count, dtype=complex)
+        for q, m in enumerate(moved):
+            y_in = ys[model.step(q, v_shift)]
+            ym = (y_in.reshape(-1, len(m)) @ m).reshape(ys[q].shape)
+            total += np.vecdot(ys[q], ym).sum(axis=-1)  # Tr[Y_(q+v) M_q Y_q^dag]
+        values[chunk] = sign * (trace - 2.0 * total)
+        del ys, y, y_in, ym  # before the next chunk's are built
     return values
 
 
@@ -176,24 +212,32 @@ def otoc_curve(
 _TMI_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
 
 
-def _tmi_of_joint(joint: np.ndarray, spec: TmiSpec) -> np.ndarray:
-    """Tripartite mutual information of stacked joint states on ``spec.union``.
+def _tmi_of_joint(
+    joint: np.ndarray, union: tuple[int, ...], specs: list[TmiSpec]
+) -> np.ndarray:
+    """Tripartite mutual information of stacked joint states on ``union``,
+    one row per spec of ``specs``, each with its union inside ``union``.
 
-    Each of the seven entropies is taken at its part's own dimension; parts
-    of one size share one stacked ``eigvalsh``.
+    Every distinct part of the specs (A, B, C, their pairs and A u B u C) is
+    reduced once and its entropy taken at its own dimension; parts of one
+    size share one stacked ``eigvalsh``, and each spec sums its seven
+    entropies with their signs.
     """
-    position = {q: i for i, q in enumerate(spec.union)}
-    parts = (spec.a, spec.b, spec.c, spec.a + spec.b, spec.a + spec.c, spec.b + spec.c)
-    reduced = [
-        partial_trace(joint, tuple(sorted(position[q] for q in part))) for part in parts
-    ]
-    reduced.append(joint)
-    total = np.zeros(joint.shape[:-2])
-    for size in {part.shape[-1] for part in reduced}:
-        members = [j for j, part in enumerate(reduced) if part.shape[-1] == size]
-        stack = np.stack([reduced[j] for j in members], axis=-3)
-        total += spectrum_entropy(np.linalg.eigvalsh(stack)) @ _TMI_SIGNS[members]
-    return total
+    position = {q: i for i, q in enumerate(union)}
+    signs: dict[tuple[int, ...], np.ndarray] = {}  # part -> its sign per spec
+    for k, spec in enumerate(specs):
+        a, b, c = spec.a, spec.b, spec.c
+        for part, sign in zip((a, b, c, a + b, a + c, b + c, a + b + c), _TMI_SIGNS):
+            key = tuple(sorted(position[q] for q in part))
+            signs.setdefault(key, np.zeros(len(specs)))[k] += sign
+    total = np.zeros(joint.shape[:-2] + (len(specs),))
+    for size in {len(key) for key in signs}:
+        keys = [key for key in signs if len(key) == size]
+        whole = size == len(union)
+        reduced = [joint if whole else partial_trace(joint, key) for key in keys]
+        entropies = spectrum_entropy(np.linalg.eigvalsh(np.stack(reduced, axis=-3)))
+        total += entropies @ np.array([signs[key] for key in keys])
+    return np.moveaxis(total, -1, 0)
 
 
 def _kept_layout(model: SpectralModel, kept: list[int]) -> tuple[list, list]:
@@ -221,20 +265,26 @@ def _kept_layout(model: SpectralModel, kept: list[int]) -> tuple[list, list]:
 
 def tmi_curve(
     ensemble: StateEnsemble,
-    spec: TmiSpec,
+    specs: Sequence[TmiSpec],
     model: SpectralModel,
     taus: np.ndarray,
 ) -> np.ndarray:
-    """Mean tripartite mutual information over the retained snapshots.
+    """Mean tripartite mutual information over the retained snapshots, one
+    row per spec of ``specs``, in their order.
 
     Entropy is nonlinear, so unlike the correlators this cannot use the mean
-    state; every snapshot's joint state on A u B u C is built at every tau.
+    state; every snapshot's joint state is built at every tau.  The specs
+    are grouped under maximal unions: a spec whose union A u B u C lies
+    inside another spec's union joins that spec's group, and each group's
+    joint state is built once per snapshot and tau, on its largest union,
+    from which every spec of the group reads its parts by partial trace.
+
     A snapshot is |psi(s)><psi(s)| (x) rest with
     |psi(s)> = sqrt(s)|00> + sqrt(1-s)|11> on qubits (0, 1).  After U(tau) on
     the chain its qubit-0 block (a, b) is c_a c_b L_a rest L_b^dag, with
     c = (sqrt(s), sqrt(1-s)) and L_a = U(tau)(|a>_1 (x) 1) the half of the
     columns of U(tau) where qubit 1 is a; only the chain qubits of the
-    partition survive the partial trace.
+    union survive the partial trace.
 
     ``rest`` is block-diagonal on the rest sectors.  On rest sector r, L_a
     is nonzero only on the rows of chain sector r + a, a block of the
@@ -247,9 +297,37 @@ def tmi_curve(
     if ensemble.n_samples == 0:
         raise ValueError("ensemble retains no snapshots (tmi_cap was 0)")
     n = model.n
-    union = spec.union
-    if union[-1] > n:
-        raise ValueError(f"tmi subset qubit {union[-1]} outside register 0..{n}")
+    for spec in specs:
+        if spec.union[-1] > n:
+            top = spec.union[-1]
+            raise ValueError(f"tmi subset qubit {top} outside register 0..{n}")
+    groups: dict[tuple[int, ...], list[int]] = {}  # maximal union -> its specs
+    for k in sorted(range(len(specs)), key=lambda k: -len(specs[k].union)):
+        own = specs[k].union
+        union = next((u for u in groups if set(own) <= set(u)), own)
+        groups.setdefault(union, []).append(k)
+    rest_blocks = model.unpack(ensemble.sample_packed)
+    taus = np.asarray(taus, dtype=float)
+    totals = np.zeros((len(specs), len(taus)))
+    for union, members in groups.items():
+        group_specs = [specs[k] for k in members]
+        totals[members] = _union_tmi(
+            union, group_specs, ensemble.sample_inputs, rest_blocks, model, taus
+        )
+    return totals / ensemble.n_samples
+
+
+def _union_tmi(
+    union: tuple[int, ...],
+    specs: list[TmiSpec],
+    samples: np.ndarray,
+    rest_blocks: list[np.ndarray],
+    model: SpectralModel,
+    taus: np.ndarray,
+) -> np.ndarray:
+    """The snapshot sums of ``tmi_curve`` for the specs of one group, from
+    the joint states on ``union``."""
+    n = model.n
     with_ref = union[0] == 0
     kept = [q - 1 for q in union if q >= 1]
     kept_dim = 2 ** len(kept)
@@ -272,10 +350,7 @@ def tmi_curve(
     # The blocks (a, b) built, by b: (0, 0) and (1, 1), and (1, 0) with the
     # reference; (0, 1) is the conjugate transpose of (1, 0).
     pairs = [(0, (0, 1) if with_ref else (0,)), (1, (1,))]
-    samples = ensemble.sample_inputs
-    rest_blocks = model.unpack(ensemble.sample_packed)
-    taus = np.asarray(taus, dtype=float)
-    totals = np.zeros(len(taus))
+    totals = np.zeros((len(specs), len(taus)))
     # Per grid time: the scaled eigenvectors, both halves of L and one
     # product with a rest, per sector, within three quarters of
     # ``CHUNK_BYTES``; snapshots are taken in groups whose joint states and
@@ -319,5 +394,7 @@ def tmi_curve(
                 if with_ref:
                     lower = joint[:, kept_dim:, :kept_dim]
                     joint[:, :kept_dim, kept_dim:] = lower.conj().swapaxes(-1, -2)
-            totals[chunk] += _tmi_of_joint(joints, spec).sum(axis=0)
-    return totals / ensemble.n_samples
+            totals[:, chunk] += _tmi_of_joint(joints, union, specs).sum(axis=1)
+        # before the next chunk's are built
+        del blocks, ls, shaped, joints, moved, moved_t, part
+    return totals

@@ -198,6 +198,22 @@ def _sector_spaces(chain: PauliString, model: SpectralModel) -> list:
     return spaces
 
 
+def _minus_blocks(
+    model: SpectralModel, chain: PauliString
+) -> tuple[int, list[np.ndarray]]:
+    """D = B^dag V for a chain Pauli string O, B a basis of its -1
+    eigenspace (``pauli.minus_eigenspace``) and V the eigenvectors, as the
+    shift of O (``SpectralModel.shift``) and, per sector q, D_q = B^dag V_q,
+    the row gather of half the size that sector q feeds (``_sector_spaces``).
+    """
+    spaces = _sector_spaces(chain, model)
+    # A copy, so that D does not hold minus_rows' partner buffer.
+    return model.shift(chain), [
+        minus_rows(vecs, space, np.empty((2, len(space[0]), len(vecs)), complex)).copy()
+        for vecs, space in zip(model.vectors, spaces)
+    ]
+
+
 def _eigenbasis_blocks(
     model: SpectralModel, chain: PauliString
 ) -> tuple[int, list[np.ndarray]]:
@@ -205,17 +221,10 @@ def _eigenbasis_blocks(
     shift of O (``SpectralModel.shift``) and, per sector q, its block from
     sector q to sector q + shift in the sectors' own eigenbases.
 
-    With B a basis of the -1 eigenspace of O (``pauli.minus_eigenspace``),
-    O = I - 2 B B^dag, so the block is delta I - 2 D_(q+shift)^dag D_q with
-    D_q = B^dag V_q, the row gather of half the size that sector q feeds
-    (``_sector_spaces``).  Every block is Hermitian where the shift is 0.
+    O = I - 2 B B^dag, so the block is delta I - 2 D_(q+shift)^dag D_q
+    (``_minus_blocks``).  Every block is Hermitian where the shift is 0.
     """
-    shift = model.shift(chain)
-    spaces = _sector_spaces(chain, model)
-    d = [
-        minus_rows(vecs, space, np.empty((2, len(space[0]), len(vecs)), complex))
-        for vecs, space in zip(model.vectors, spaces)
-    ]
+    shift, d = _minus_blocks(model, chain)
     blocks = []
     for q, d_q in enumerate(d):
         op = d[model.step(q, shift)].conj().T @ d_q

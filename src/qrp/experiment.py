@@ -270,10 +270,10 @@ def run_experiment(
     if config.tasks.otoc:
         results["max_otoc_imag"] = max_otoc_imag
 
-    for spec in config.tasks.tmi:
-        values = tmi_curve(ensemble, spec, model, grid)
-        emit(f"tmi_{spec.name()}.csv", "tau,value", grid, values)
     if config.tasks.tmi:
+        curves = tmi_curve(ensemble, config.tasks.tmi, model, grid)
+        for spec, values in zip(config.tasks.tmi, curves):
+            emit(f"tmi_{spec.name()}.csv", "tau,value", grid, values)
         results["tmi_samples"] = ensemble.n_samples
 
     if config.tasks.record:

@@ -163,12 +163,26 @@ def _fix_phases(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return fixed
 
 
+# Entries of H per row block in the checks below, so that their temporaries
+# stay at about a MiB whatever the chain length.
+_BLOCK_ENTRIES = 2**16
+
+
+def _row_blocks(dim: int) -> list[slice]:
+    rows = max(1, _BLOCK_ENTRIES // dim)
+    return [slice(i, min(i + rows, dim)) for i in range(0, dim, rows)]
+
+
 def _parity_classes(hamiltonian: np.ndarray) -> list[np.ndarray]:
     """Basis states of even and of odd chain parity (the product of every
     z_i) if H has no entry between the two, else all basis states."""
     dim = len(hamiltonian)
     odd = (np.bitwise_count(np.arange(dim)) & 1).astype(bool)
-    if dim > 1 and not np.any(hamiltonian[odd[:, None] != odd[None, :]]):
+    mixed = any(
+        np.any(hamiltonian[rows][odd[rows][:, None] != odd])
+        for rows in _row_blocks(dim)
+    )
+    if dim > 1 and not mixed:
         return [np.flatnonzero(~odd), np.flatnonzero(odd)]
     return [np.arange(dim)]
 
@@ -181,7 +195,10 @@ def diagonalize(hamiltonian: np.ndarray, params: IsingParams) -> SpectralModel:
         raise ValueError(
             f"Hamiltonian shape {hamiltonian.shape} does not match 2^{params.n}"
         )
-    herm_residue = np.max(np.abs(hamiltonian - hamiltonian.conj().T))
+    herm_residue = max(
+        np.max(np.abs(hamiltonian[rows] - hamiltonian[:, rows].conj().T))
+        for rows in _row_blocks(params.dim)
+    )
     if herm_residue > 1e-10:
         raise ValueError(f"Hamiltonian is not Hermitian (residue {herm_residue:.3e})")
     classes = _parity_classes(hamiltonian)

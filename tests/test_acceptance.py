@@ -194,7 +194,7 @@ def test_06_tmi_turns_negative(runs):
     ok = True
     for tag in ("free", "chaotic"):
         sys = systems[tag]
-        curve = tmi_curve(sys.ensemble, spec, sys.model, cfg.grid)
+        (curve,) = tmi_curve(sys.ensemble, [spec], sys.model, cfg.grid)
         low = float(curve.min())
         ok = ok and low < -0.01
         details.append(f"{tag} min I3(0:2:3)={low:.4f}")

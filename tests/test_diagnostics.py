@@ -172,11 +172,11 @@ class TestOtoc:
         tau = grid[-1] (free half) and two points of grid + 2 t_in (chaotic
         half).  The oracle builds the full-register Hamiltonian from Kronecker
         products of 2x2 Paulis, qubit 0 first and left untouched, and evolves
-        with ``expm``; the state is the infinite-temperature ensemble.
+        with ``expm``; the state is the infinite-temperature ensemble.  The
+        free chain runs on two parity sectors, with a V that moves the sector
+        (x1) and a qubit-0 pair that anticommutes (x0, y0).
         """
         n = 7
-        h_x, h_z = CHAOTIC
-        model = spectral_model(IsingParams(n=n, h_x=h_x, h_z=h_z))
         eye = np.eye(2, dtype=complex)
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sz = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -187,26 +187,40 @@ class TestOtoc:
                 out = np.kron(out, ops.get(q, eye))
             return out
 
-        ham = sum(-on_sites({q: sx, q + 1: sx}) for q in range(1, n)) + sum(
-            h_x * on_sites({q: sx}) + h_z * on_sites({q: sz}) for q in range(1, n + 1)
-        )
         dim = 2 ** (n + 1)
         mixed = np.eye(dim, dtype=complex) / dim
-        ensemble = register_ensemble(
-            mixed, np.zeros(0), np.zeros((0, dim // 4, dim // 4))
-        )
         cfg = DriveConfig()
         late = cfg.grid + 2 * cfg.t_in
-        v = on_sites({1: sz})
-        for i in (2, 3):
-            w = on_sites({i: sz})
-            spec = OtocSpec.of(f"z{i}", "z1")
-            for tau in (cfg.grid[-1], late[0], late[-1]):
-                u = scipy.linalg.expm(-1j * float(tau) * ham)
-                w_tau = u.conj().T @ w @ u
-                oracle = np.trace(mixed @ w_tau @ v @ w_tau @ v).real
-                value = otoc_curve(ensemble, spec, model, [tau])[0].real
-                assert abs(value - oracle) < 1e-10
+        taus = [cfg.grid[-1], late[0], late[-1]]
+        cases = [
+            (CHAOTIC, [("z2", "z1"), ("z3", "z1")]),
+            (FREE_FERMION, [("x0*z3", "y0*x1"), ("z2", "x1"), ("z3", "z1")]),
+        ]
+        for (h_x, h_z), pairs in cases:
+            model = spectral_model(IsingParams(n=n, h_x=h_x, h_z=h_z))
+            assert model.count == (2 if h_x == 0.0 else 1)
+            # The chain mean is I / 2^n in both qubit-1 blocks, packed by
+            # the model's sectors.
+            blocks = [np.eye(len(rows)) / 2**n for rows in model.rests]
+            row = model.pack(blocks, np.empty(model.offsets[-1]))
+            ensemble = StateEnsemble(
+                mean_packed=np.stack([row, row]),
+                sample_inputs=np.zeros(0),
+                sample_packed=np.zeros((0, model.offsets[-1])),
+            )
+            ham = sum(-on_sites({q: sx, q + 1: sx}) for q in range(1, n)) + sum(
+                h_x * on_sites({q: sx}) + h_z * on_sites({q: sz}) for q in range(1, n + 1)
+            )
+            units = [scipy.linalg.expm(-1j * float(tau) * ham) for tau in taus]
+            for w_label, v_label in pairs:
+                spec = OtocSpec.of(w_label, v_label)
+                w, v = build_dense(spec.w, n + 1), build_dense(spec.v, n + 1)
+                want = []
+                for u in units:
+                    w_tau = u.conj().T @ w @ u
+                    want.append(np.trace(mixed @ w_tau @ v @ w_tau @ v))
+                got = otoc_curve(ensemble, spec, model, taus)
+                assert np.max(np.abs(got - np.array(want))) < 1e-10, (w_label, v_label)
 
     @pytest.mark.parametrize("n, w, v", [(2, "x1", "x1"), (4, "x0*z3", "y0*x1")])
     def test_imaginary_part_matches_expm_oracle(self, n, w, v):
@@ -294,14 +308,14 @@ class TestTmi:
         # the library's entropies, each at its part's own dimension, on a
         # stack of joint states
         joint = partial_trace(np.stack([rho, rho]), spec.union)
-        assert np.max(np.abs(_tmi_of_joint(joint, spec) - expected)) < 1e-10
+        assert np.max(np.abs(_tmi_of_joint(joint, spec.union, [spec]) - expected)) < 1e-10
 
     def test_curve_averages_snapshots(self, chaotic3):
         rng = np.random.default_rng(41)
         ensemble = make_ensemble(rng, chaotic3, n_samples=3)
         taus = np.array([0.0, 0.7])
         spec = TmiSpec(a=(0,), b=(2,), c=(3,))
-        curve = tmi_curve(ensemble, spec, chaotic3, taus)
+        (curve,) = tmi_curve(ensemble, [spec], chaotic3, taus)
         for m, tau in enumerate(taus):
             u = propagator(chaotic3, float(tau))
             oracle = np.mean(
@@ -312,12 +326,38 @@ class TestTmi:
             )
             assert abs(curve[m] - oracle) < 1e-12
 
+    @pytest.mark.parametrize("fields", [CHAOTIC, FREE_FERMION])
+    def test_one_call_matches_single_spec_calls(self, fields):
+        """Partitions nested in another's union (and one with the same
+        union), one overlapping but not nested, and one disjoint, in an
+        order that is not the order of their groups."""
+        h_x, h_z = fields
+        model = spectral_model(IsingParams(n=6, h_x=h_x, h_z=h_z))
+        cfg = DriveConfig(
+            t_in=1.1, n_grid=4, n_washout=4, n_train=4, n_test=4, seed=8, tmi_cap=3
+        )
+        _, ensemble = run_drive(cfg, model, ["z1"], generate_inputs(cfg.seed, cfg.n_total))
+        specs = [
+            TmiSpec(a=(0,), b=(2,), c=(3,)),
+            TmiSpec(a=(1,), b=(3,), c=(4,)),
+            TmiSpec(a=(0,), b=(2,), c=(3, 4)),
+            TmiSpec(a=(1,), b=(5,), c=(6,)),
+            TmiSpec(a=(3,), b=(0,), c=(2, 4)),
+            TmiSpec(a=(2,), b=(4,), c=(3,)),
+        ]
+        curves = tmi_curve(ensemble, specs, model, cfg.grid)
+        assert curves.shape == (len(specs), cfg.n_grid)
+        for spec, got in zip(specs, curves):
+            (alone,) = tmi_curve(ensemble, [spec], model, cfg.grid)
+            assert np.max(np.abs(got - alone)) < 1e-12, spec
+        assert np.max(np.abs(curves[0] - curves[2])) > 1e-3  # rows not mixed up
+
     def test_curve_requires_snapshots(self, chaotic3):
         ensemble = register_ensemble(
             np.eye(16) / 16, np.zeros(0), np.zeros((0, 4, 4))
         )
         with pytest.raises(ValueError, match="snapshot"):
-            tmi_curve(ensemble, TmiSpec(a=(0,), b=(2,), c=(3,)), chaotic3, [0.0])
+            tmi_curve(ensemble, [TmiSpec(a=(0,), b=(2,), c=(3,))], chaotic3, [0.0])
 
 
 class TestEndToEndDiagnostics:
@@ -331,7 +371,7 @@ class TestEndToEndDiagnostics:
         taus = cfg.grid
         values = otoc_curve(ensemble, OtocSpec.of("z2", "z1"), model, taus)
         assert abs(values[0] - 1.0) < 1e-9
-        curve = tmi_curve(ensemble, TmiSpec(a=(0,), b=(2,), c=(3,)), model, taus)
+        (curve,) = tmi_curve(ensemble, [TmiSpec(a=(0,), b=(2,), c=(3,))], model, taus)
         assert abs(curve[0]) < 1e-8  # info still local right after injection
 
 
@@ -433,12 +473,14 @@ class TestChainLevelAgainstExpm:
             )
         if n >= 3:
             specs.append(TmiSpec(a=(1,), b=(2,), c=tuple(range(3, n + 1))))
-        for spec in specs:
+        # one call: the later partitions lie inside the first one's union
+        curves = tmi_curve(ensemble, specs, model, taus)
+        assert curves.shape == (len(specs), len(taus))
+        for spec, got in zip(specs, curves):
             want = [
                 np.mean([tmi(u @ rho @ u.conj().T, spec) for rho in snapshots])
                 for u in units
             ]
-            got = tmi_curve(ensemble, spec, model, taus)
             assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -485,8 +527,17 @@ class TestMemoryBound:
 
     def test_tmi_curve(self, large):
         model, ensemble, grid = large
-        spec = TmiSpec(a=(0,), b=(2,), c=(3, 4))
-        peak = self._peak_bytes(tmi_curve, ensemble, spec, model, grid)
+        specs = [TmiSpec(a=(0,), b=(2,), c=(3, 4))]
+        peak = self._peak_bytes(tmi_curve, ensemble, specs, model, grid)
+        assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
+
+    # fig6's pair of partitions, read off one joint state on (0, 2, 3, 4)
+    FIG6_TMI = [TmiSpec(a=(0,), b=(2,), c=(3,)), TmiSpec(a=(0,), b=(2,), c=(3, 4))]
+
+    @pytest.mark.parametrize("regime", ["free", "chaotic"])
+    def test_fig6_tmi_pair(self, regime, large, large_free):
+        model, ensemble, grid = large_free if regime == "free" else large
+        peak = self._peak_bytes(tmi_curve, ensemble, self.FIG6_TMI, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
 
     @pytest.fixture(scope="class")
@@ -529,8 +580,8 @@ class TestMemoryBound:
 
     def test_free_tmi_curve(self, large_free):
         model, ensemble, grid = large_free
-        spec = TmiSpec(a=(0,), b=(2,), c=(3, 4))
-        peak = self._peak_bytes(tmi_curve, ensemble, spec, model, grid)
+        specs = [TmiSpec(a=(0,), b=(2,), c=(3, 4))]
+        peak = self._peak_bytes(tmi_curve, ensemble, specs, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
 
 
@@ -549,7 +600,10 @@ curves += [
     otoc_curve(ensemble, OtocSpec.of(w, v), model, cfg.grid)
     for w, v in (("z3", "z1"), ("x0*z4", "y0*x1"))
 ]
-curves.append(tmi_curve(ensemble, TmiSpec(a=(0,), b=(2,), c=(3, 4)), model, cfg.grid))
+curves += list(tmi_curve(
+    ensemble, [TmiSpec(a=(0,), b=(2,), c=(3,)), TmiSpec(a=(0,), b=(2,), c=(3, 4))],
+    model, cfg.grid,
+))
 np.save(sys.argv[1], np.array(curves))
 """
 
@@ -567,5 +621,5 @@ def test_blas_thread_count_does_not_change_diagnostics(tmp_path):
             [sys.executable, "-c", _THREAD_SCRIPT, str(out)], env=env, check=True, timeout=120
         )
         values.append(np.load(out))
-    assert values[0].shape == (6, DriveConfig().n_grid)
+    assert values[0].shape == (7, DriveConfig().n_grid)
     assert np.max(np.abs(values[0] - values[1])) < 1e-12

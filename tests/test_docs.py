@@ -38,8 +38,9 @@ def test_readme_sketch_runs():
     exec(compile(code, "README.md", "exec"), names)
     cfg = names["cfg"]
     assert names["curve"].r2.shape == (cfg.n_grid,)
-    for key in ("corr", "otocs", "tmis"):
-        assert names[key].shape == (cfg.n_grid,), key
+    shapes = {"corr": (cfg.n_grid,), "otocs": (cfg.n_grid,), "tmis": (2, cfg.n_grid)}
+    for key, shape in shapes.items():
+        assert names[key].shape == shape, key
         assert np.all(np.isfinite(names[key])), key
 
 

@@ -219,6 +219,25 @@ class TestParitySectors:
         blocks = sum(vecs.nbytes for vecs in model.vectors)
         assert retained < 1.1 * blocks, f"{retained / blocks:.2f} x the blocks"
 
+    # Traced peak of ``diagonalize`` on an N = 10 H (16 MiB, not counted).
+    # The Hermiticity and sector checks run in row blocks; checked on the
+    # whole matrix they peaked at 32.13 MiB on either chain (9.0 MiB of it
+    # the sector check).  Free: two half-size eigh calls; chaotic: eigh on
+    # H itself, which copies it.
+    DIAGONALIZE_PEAK = {"free": 20 * 2**20, "chaotic": 32.13 * 2**20}
+
+    @pytest.mark.parametrize("regime", ["free", "chaotic"])
+    def test_diagonalize_peak(self, regime):
+        params = params_for(10, FREE_FERMION if regime == "free" else CHAOTIC)
+        hamiltonian = build_hamiltonian(params)
+        tracemalloc.start()
+        try:
+            diagonalize(hamiltonian, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.DIAGONALIZE_PEAK[regime], f"{peak / 2**20:.2f} MiB"
+
 
 def ground(n, fields):
     """Lowest eigenvector of the chain, the drive's initial chain state."""
