@@ -173,6 +173,9 @@ def otoc_curve(
         state += other
     del second, other
     v_shift, d = _minus_blocks(model, v_chain)
+    # D is kept through the curve: copies, so it does not hold minus_rows'
+    # partner buffer.
+    d = [block.copy() for block in d]
     moved = []
     for q, state in enumerate(states):
         m = d[model.step(q, v_shift)].conj().T @ (d[q] @ state)

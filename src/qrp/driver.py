@@ -207,9 +207,8 @@ def _minus_blocks(
     the row gather of half the size that sector q feeds (``_sector_spaces``).
     """
     spaces = _sector_spaces(chain, model)
-    # A copy, so that D does not hold minus_rows' partner buffer.
     return model.shift(chain), [
-        minus_rows(vecs, space, np.empty((2, len(space[0]), len(vecs)), complex)).copy()
+        minus_rows(vecs, space, np.empty((2, len(space[0]), len(vecs)), complex))
         for vecs, space in zip(model.vectors, spaces)
     ]
 
