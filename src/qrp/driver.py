@@ -28,7 +28,9 @@ orders its operation counts favour: against packed Heisenberg blocks of the
 operators, one real GEMM per grid time, or interval by interval in the
 Hamiltonian eigenbasis, where evolution to a grid time is a diagonal phase.
 Both work per sector: no path here builds a 2**N x 2**N matrix from the
-blocks.
+blocks.  The last interval takes no Kraus step, since nothing reads its
+result, and the last chunk is read out once the Kraus buffers are freed: a
+drive whose stored rests fit one chunk never holds both sets of buffers.
 """
 
 from __future__ import annotations
@@ -322,8 +324,13 @@ class _Readout:
     Tr[rest], and only the products G_ab = D_a^dag D_b are packed.  U(tau)
     is built per chain sector, and so is D (``_sector_spaces``): the columns
     of chain sector q where qubit 1 is 0 meet rest sector q, and those where
-    it is 1 rest sector q + 1.  The eigenbasis order traces each row's
-    weighted states (``_eigenbasis_states``) against the operators' blocks
+    it is 1 rest sector q + 1.  Besides the chunk, a call holds the packed
+    blocks of every operator (one real row of the packed length per block),
+    one complex pair of rest blocks per sector, into which each operator's
+    G blocks are made and from which they are packed at once, the U(tau)
+    buffers (``SpectralModel.propagators``) and the gathered rows of D.  The
+    eigenbasis order traces each row's weighted states
+    (``_eigenbasis_states``) against the operators' blocks
     (``_eigenbasis_blocks``), sector by sector.
     """
 
@@ -360,9 +367,14 @@ class _Readout:
         for diagonal in self.diagonals:
             self.scale[diagonal] = 1.0
 
-    def __call__(self, packed: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Values (n_operators, rows, n_grid) for packed rests and inputs."""
-        out = np.zeros((self.n_operators, len(s), len(self.grid)))
+    def __call__(
+        self, packed: np.ndarray, s: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Values (n_operators, rows, n_grid) for packed rests and inputs,
+        written into ``out`` if given, which must hold zeros where a
+        read-out is not evaluated."""
+        if out is None:
+            out = np.zeros((self.n_operators, len(s), len(self.grid)))
         if not self.axes:
             return out
         sizes = [len(rows) for rows in self.model.rows]
@@ -388,17 +400,19 @@ class _Readout:
         traces = sum(packed[:, diagonal].sum(axis=1) for diagonal in self.diagonals)
         parts = {"i": traces, "z": (2.0 * s - 1.0) * traces, "x": 0.0 * s, "y": 0.0 * s}
         identity = np.stack([parts[axis0] for axis0 in self.axes], axis=1)
-        n = [len(rows) for rows in model.rests]
-        blocks = [np.empty((len(self.kinds), m, m), dtype=complex) for m in n]
+        # Per rest sector r, the G blocks of one operator that land there: G00
+        # of chain sector r, or its G01, and G11 of chain sector r - 1.  They
+        # are packed into ``heis`` as soon as they are made.
+        pairs = [np.empty((2, len(rows), len(rows)), complex) for rows in model.rests]
         heis = np.empty((len(self.kinds), len(self.scale)))
         minus = [
             np.empty((2, max(len(sp[c][0]) for sp in self.spaces), len(vecs)), complex)
             for c, vecs in enumerate(model.vectors)
         ]
+        u_buffers = [np.empty((3,) + vecs.shape, complex) for vecs in model.vectors]
         for m, tau in enumerate(self.grid):
-            us = model.propagators(tau)
-            j = 0
-            for axis0, spaces in zip(self.axes, self.spaces):
+            us = model.propagators(tau, out=u_buffers)
+            for axis0, spaces, j in zip(self.axes, self.spaces, self.starts):
                 d, d_bar = [], []
                 for u, space, buf in zip(us, spaces, minus):
                     d.append(minus_rows(u, space, buf))
@@ -407,23 +421,23 @@ class _Readout:
                 if axis0 in "iz":
                     for c in range(model.count):
                         low, high = model.halves(c)
-                        up = blocks[model.step(c)][j + 1]
-                        np.matmul(d_bar[c][:, low].T, d[c][:, low], out=blocks[c][j])
+                        up = pairs[model.step(c)][1]
+                        np.matmul(d_bar[c][:, low].T, d[c][:, low], out=pairs[c][0])
                         np.matmul(d_bar[c][:, high].T, d[c][:, high], out=up)
-                    j += 2
-                    continue
-                for a in range(model.count):
-                    b = model.step(a)
-                    low, high = model.halves(a)[0], model.halves(b)[1]
-                    g01 = np.matmul(d_bar[a][:, low].T, d[b][:, high], out=blocks[a][j])
-                    if axis0 == "x":
-                        g01 += g01.conj().T
-                    else:
-                        np.subtract(g01.conj().T, g01, out=g01)
-                        g01 *= 1j
-                j += 1
-            for sector_blocks, segment in zip(blocks, model.segments):
-                pack_hermitian(sector_blocks, out=heis[:, segment])
+                else:
+                    for a in range(model.count):
+                        b = model.step(a)
+                        low, high = model.halves(a)[0], model.halves(b)[1]
+                        g01 = pairs[a][0]
+                        np.matmul(d_bar[a][:, low].T, d[b][:, high], out=g01)
+                        if axis0 == "x":
+                            g01 += g01.conj().T
+                        else:
+                            np.subtract(g01.conj().T, g01, out=g01)
+                            g01 *= 1j
+                kinds = 2 if axis0 in "iz" else 1
+                for pair, segment in zip(pairs, model.segments):
+                    pack_hermitian(pair[:kinds], out=heis[j : j + kinds, segment])
             heis *= self.scale
             values = np.add.reduceat((packed @ heis.T) * weights, self.starts, axis=1)
             out[self.kept, :, m] = (values + identity).T
@@ -500,9 +514,10 @@ def run_drive(
 ) -> tuple[ReadoutRecord, StateEnsemble]:
     """Run the full drive and record every read-out on the virtual-time grid.
 
-    Every interval advances ``rest`` through the Kraus blocks of the interval
-    propagator; training/testing intervals also store ``rest``, and each full
-    chunk of stored rests is read out on the whole grid at once.  The
+    Every interval but the last advances ``rest`` through the Kraus blocks
+    of the interval propagator; training/testing intervals also store
+    ``rest``, and each full chunk of stored rests is read out on the whole
+    grid at once, the last one after the Kraus buffers are freed.  The
     running state's trace and Hermiticity are checked every interval.
     """
     if len(inputs) != config.n_total:
@@ -597,10 +612,15 @@ def run_drive(
                 mean_packed[1] += (1.0 - s) * packed
                 if spot < n_cap:
                     sample_packed[spot] = packed
-            if parsed and (slot == len(chunk) - 1 or row == n_rows - 1):
-                record_values[:, row - slot : row + 1] = readout(
-                    chunk[: slot + 1], s_values[k - slot : k + 1]
+            # A chunk that fills before the last interval is read out here;
+            # the last one after the loop.
+            if parsed and slot == len(chunk) - 1 and row < n_rows - 1:
+                readout(
+                    chunk, s_values[k - slot : k + 1],
+                    out=record_values[:, row - slot : row + 1],
                 )
+        if k == config.n_total - 1:
+            break  # nothing reads the rest after the last interval
 
         for a in range(model.count):
             np.matmul(kraus[a], rest[a], out=moved[a])
@@ -614,6 +634,10 @@ def run_drive(
             np.matmul(side[t], kraus_h[t], out=spare[t])
         rest, spare = spare, rest
 
+    # The step buffers go before the last chunk is read out, so that the
+    # read-out's own buffers take their place.
+    del kraus, kraus_h, moved, side, spare, rest, scratch
+    readout(chunk[: slot + 1], s_values[-slot - 1 :], out=record_values[:, -slot - 1 :])
     mean_packed /= config.n_test
 
     record = ReadoutRecord(

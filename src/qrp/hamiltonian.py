@@ -145,10 +145,24 @@ class SpectralModel:
         """The rest blocks of sector-packed rows; leading axes are a stack."""
         return [unpack_hermitian(packed[..., segment]) for segment in self.segments]
 
-    def propagators(self, tau: float) -> list[np.ndarray]:
-        """exp(-i H tau) per chain sector, in the sector's own basis."""
-        pairs = zip(self.vectors, self.energies)
-        return [(vecs * np.exp(-1j * e * tau)) @ vecs.conj().T for vecs, e in pairs]
+    def propagators(
+        self, tau: float, out: list[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
+        """exp(-i H tau) per chain sector, in the sector's own basis.
+
+        ``out``, if given, holds per sector a (3, d, d) complex buffer: U is
+        written into its last matrix, and the first two hold V e^{-i E tau}
+        and conj(V), whose transpose is V^dag, on the way.  A caller that
+        builds U(tau) for many times into the same buffers allocates nothing
+        per call but the phases.
+        """
+        us = []
+        buffers = out or [(None, None, None)] * self.count
+        for vecs, e, (scaled, vecs_bar, u) in zip(self.vectors, self.energies, buffers):
+            scaled = np.multiply(vecs, np.exp(-1j * e * tau), out=scaled)
+            vecs_bar = np.conjugate(vecs, out=vecs_bar)
+            us.append(np.matmul(scaled, vecs_bar.T, out=u))
+        return us
 
 
 def _fix_phases(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:

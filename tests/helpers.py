@@ -3,6 +3,7 @@ test suite."""
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -45,6 +46,19 @@ def build_dense(p: PauliString, register_size: int) -> np.ndarray:
     if not factors:
         return np.eye(1, dtype=complex)
     return reduce(np.kron, factors)
+
+
+def traced_peak(fn, *args) -> tuple[int, int]:
+    """Bytes that ``fn(*args)`` allocated through Python's allocators: the
+    traced peak of the call, and what is still held while its result is."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+        del result
+    finally:
+        tracemalloc.stop()
+    return peak, retained
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from helpers import traced_peak
 from qrp.cli import main
 from qrp.config import (
     ConfigError,
@@ -393,12 +393,7 @@ class TestRunExperiment:
         ]
         header = ",".join(["k", "phase", "tau"] + [f"z{i}" for i in range(n_ops)])
         path = tmp_path / "readouts.csv"
-        tracemalloc.start()
-        try:
-            write_csv(path, header, columns)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(write_csv, path, header, columns)
         assert peak < 2 * 2**20, peak
         lines = path.read_text(encoding="utf-8").split("\n")
         assert len(lines) == 2 + rows * n_grid and lines[-1] == ""

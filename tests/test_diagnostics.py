@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from helpers import (
     register_ensemble,
     sample_state,
     tmi,
+    traced_peak,
     von_neumann_entropy,
 )
 import qrp.diagnostics
@@ -514,25 +514,16 @@ class TestMemoryBound:
         )
         return model, ensemble, DriveConfig().grid
 
-    @staticmethod
-    def _peak_bytes(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_otoc_curve(self, large):
         model, ensemble, grid = large
         spec = OtocSpec.of("x0*z3", "z1")
-        peak = self._peak_bytes(otoc_curve, ensemble, spec, model, grid)
+        peak, _ = traced_peak(otoc_curve, ensemble, spec, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
 
     def test_tmi_curve(self, large):
         model, ensemble, grid = large
         specs = [TmiSpec(a=(0,), b=(2,), c=(3, 4))]
-        peak = self._peak_bytes(tmi_curve, ensemble, specs, model, grid)
+        peak, _ = traced_peak(tmi_curve, ensemble, specs, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
 
     # fig6's pair of partitions, read off one joint state on (0, 2, 3, 4)
@@ -541,7 +532,7 @@ class TestMemoryBound:
     @pytest.mark.parametrize("regime", ["free", "chaotic"])
     def test_fig6_tmi_pair(self, regime, large, large_free):
         model, ensemble, grid = large_free if regime == "free" else large
-        peak = self._peak_bytes(tmi_curve, ensemble, self.FIG6_TMI, model, grid)
+        peak, _ = traced_peak(tmi_curve, ensemble, self.FIG6_TMI, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
 
     @pytest.fixture(scope="class")
@@ -573,19 +564,19 @@ class TestMemoryBound:
     @pytest.mark.parametrize("regime", ["free", "chaotic"])
     def test_correlation_curve(self, regime, large, large_free):
         model, ensemble, grid = large_free if regime == "free" else large
-        peak = self._peak_bytes(correlation_curve, ensemble, 3, model, grid)
+        peak, _ = traced_peak(correlation_curve, ensemble, 3, model, grid)
         assert peak < self.CORRELATION_BOUND[regime], f"{peak / 2**20:.1f} MiB"
 
     def test_free_otoc_curve(self, large_free):
         model, ensemble, grid = large_free
         spec = OtocSpec.of("x0*x3", "y0*x1")
-        peak = self._peak_bytes(otoc_curve, ensemble, spec, model, grid)
+        peak, _ = traced_peak(otoc_curve, ensemble, spec, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
 
     def test_free_tmi_curve(self, large_free):
         model, ensemble, grid = large_free
         specs = [TmiSpec(a=(0,), b=(2,), c=(3, 4))]
-        peak = self._peak_bytes(tmi_curve, ensemble, specs, model, grid)
+        peak, _ = traced_peak(tmi_curve, ensemble, specs, model, grid)
         assert peak < self.BOUND, f"{peak / 2**20:.1f} MiB"
 
 

@@ -1,12 +1,11 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qrp.driver
@@ -22,6 +21,7 @@ from helpers import (
     reduce_to_rest,
     snapshot_rests,
     trace_out_qubit0,
+    traced_peak,
 )
 from qrp.driver import (
     DriveConfig,
@@ -348,6 +348,12 @@ class TestAgainstExpmDrive:
         seed=st.integers(0, 2**16),
         chains=st.lists(_CHAIN_TERMS, min_size=4, max_size=4),
     )
+    # 10 stored rests: the last chunk holds one, and is read out after the
+    # drive (the free cases below end on a full chunk).
+    @example(
+        n=3, h_x=-0.5, h_z=1.05, t_in=1.1, lengths=(1, 5, 5), tmi_cap=2, seed=7,
+        chains=[{1: "z"}, {2: "x", 3: "z"}, {1: "y"}, {3: "x"}],
+    )
     def test_matches_expm_drive(self, n, h_x, h_z, t_in, lengths, tmi_cap, seed, chains):
         washout, train, test = lengths
         cfg = DriveConfig(
@@ -370,7 +376,8 @@ class TestAgainstExpmDrive:
         # h_x = 0 exactly, which Hypothesis seldom draws: two parity sectors
         # (of sizes 1 and 0 at N = 1, 1 and 1 at N = 2).  Every qubit-0 axis
         # with a parity-even and a parity-odd chain part; chunks of three
-        # stored rests end inside the training (5) and testing (7) phases.
+        # stored rests end inside the training (5) and testing (7) phases,
+        # and the last one fills on the last interval.
         even = {1: "z"} if n == 1 else {1: "x", n: "y"}
         odd = {1: "x"} if n == 1 else {1: "z", n: "y"}
         readouts = [
@@ -554,15 +561,46 @@ class TestDriveMemoryBound:
             with pytest.MonkeyPatch.context() as mp:
                 force_order(mp, order, model, rows=8)
                 budget = qrp.driver.CHUNK_BYTES
-                tracemalloc.start()
-                try:
-                    run_drive(cfg, model, self.READOUTS, inputs)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(run_drive, cfg, model, self.READOUTS, inputs)[0])
         short, long = peaks
         assert abs(long - short) < 0.1 * short, [p / 2**20 for p in peaks]
         assert max(peaks) < self.BOUND_CHUNKS * budget, [p / 2**20 for p in peaks]
+
+    # Traced peak of one Heisenberg read-out at N = 9 (``z1..z9``, 64 stored
+    # rests), beside its chunk.  It holds the packed blocks of every
+    # operator, one complex pair of rest blocks per sector, the U(tau)
+    # buffers and the gathered rows of D: 14.0 MiB free and 28.5 MiB
+    # chaotic.  A complex stack of every operator's blocks and fresh U(tau)
+    # temporaries made it 21.7 and 47.5 MiB.
+    HEISENBERG_BOUND = {"free": 17 * 2**20, "chaotic": 36 * 2**20}
+
+    @pytest.mark.parametrize("regime", ["free", "chaotic"])
+    def test_heisenberg_transient(self, regime):
+        n, rows = 9, 64
+        fields = FREE_FERMION if regime == "free" else CHAOTIC
+        model = spectral_model(IsingParams(n, *fields))
+        split = [split_qubit0(PauliString.from_terms({i: "z"}), n) for i in range(1, n + 1)]
+        readout = qrp.driver._Readout(model, split, DriveConfig(n_grid=3).grid)
+        rng = np.random.default_rng(3)
+        packed = rng.random((rows, model.offsets[-1]))
+        out = np.zeros((n, rows, 3))
+        peak, _ = traced_peak(readout._heisenberg, packed, rng.random(rows), out)
+        assert peak < self.HEISENBERG_BOUND[regime], f"{peak / 2**20:.1f} MiB"
+
+    def test_last_chunk_after_kraus_buffers(self):
+        # The benchmark's large-chain drive: N = 8 chaotic, 50/100/100 and
+        # z1..z8, without snapshots as a run without TMI tasks keeps none.
+        # Its 200 stored rests fill one 25 MiB chunk, read out after the
+        # drive, once the Kraus step's buffers (4.5 MiB) are gone: 32.7 MiB.
+        # Read out beside them, and with a stack of every operator's blocks,
+        # it peaked at 42.2 MiB.
+        model = spectral_model(IsingParams(8, *CHAOTIC))
+        cfg = DriveConfig(n_washout=50, n_train=100, n_test=100, tmi_cap=0)
+        inputs = generate_inputs(cfg.seed, cfg.n_total)
+        readouts = [f"z{i}" for i in range(1, 9)]
+        chunk = (cfg.n_train + cfg.n_test) * 8 * model.offsets[-1]
+        peak, _ = traced_peak(run_drive, cfg, model, readouts, inputs)
+        assert peak < chunk + 12 * 2**20, f"{(peak - chunk) / 2**20:.1f} MiB beside"
 
 
 _THREAD_SCRIPT = """

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +10,7 @@ from helpers import (
     random_density,
     random_hermitian,
     register_hamiltonian,
+    traced_peak,
 )
 from qrp.hamiltonian import (
     CHAOTIC,
@@ -174,13 +173,8 @@ class TestParitySectors:
         # traced peak is H, eigh's vectors and their phase-fixed copy (about
         # 3.1 matrices of 2^8 x 2^8 complex); a copy and a scatter made it 4.
         params = params_for(8, CHAOTIC)
-        spectral_model(params)
-        tracemalloc.start()
-        try:
-            model = spectral_model(params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        model = spectral_model(params)
+        peak, _ = traced_peak(spectral_model, params)
         matrix = params.dim**2 * 16
         assert peak < 3.5 * matrix, f"{peak / matrix:.2f} matrices"
         ham = build_hamiltonian(params)
@@ -209,13 +203,8 @@ class TestParitySectors:
         # At N = 9 a free model's two sector blocks are 2 MiB; a dense
         # eigenvector matrix beside them would add 4 MiB.
         params = params_for(9, FREE_FERMION)
-        spectral_model(params)
-        tracemalloc.start()
-        try:
-            model = spectral_model(params)
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        model = spectral_model(params)
+        _, retained = traced_peak(spectral_model, params)
         blocks = sum(vecs.nbytes for vecs in model.vectors)
         assert retained < 1.1 * blocks, f"{retained / blocks:.2f} x the blocks"
 
@@ -230,12 +219,7 @@ class TestParitySectors:
     def test_diagonalize_peak(self, regime):
         params = params_for(10, FREE_FERMION if regime == "free" else CHAOTIC)
         hamiltonian = build_hamiltonian(params)
-        tracemalloc.start()
-        try:
-            diagonalize(hamiltonian, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(diagonalize, hamiltonian, params)
         assert peak < self.DIAGONALIZE_PEAK[regime], f"{peak / 2**20:.2f} MiB"
 
 
